@@ -229,6 +229,11 @@ class TwigMachine : public xml::ContentHandler {
   bool node_is_root(int id) const {
     return nodes_[static_cast<size_t>(id)].parent_id < 0;
   }
+  /// True if some element node of the query tests for `symbol` (one binary
+  /// search over element_index()).
+  bool names_tag(Symbol symbol) const {
+    return FindElementMatches(symbol) != nullptr;
+  }
 
   const xpath::Query& query() const { return *query_; }
   const Options& options() const { return options_; }

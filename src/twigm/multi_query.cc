@@ -360,18 +360,19 @@ void MultiQueryEngine::Dispatcher::BuildIndex() {
   info_.assign(n, MachineInfo());
   element_broadcast_.clear();
   attribute_machines_.clear();
+  bare_attribute_machines_.clear();
   text_machines_.clear();
+  bare_text_machines_.clear();
   visit_stamp_.assign(n, 0);
   event_id_ = 0;
   // Every machine starts the next document untouched (stamp 0 is stale:
   // doc_gen_ only ever advances past it).
   machine_doc_gen_.assign(n, 0);
   touched_machines_.clear();
-  is_active_recorder_.assign(n, 0);
-  // The flags were just zeroed wholesale (and n may have changed), so the
-  // active list restarts too — no machine records across an index rebuild
-  // (rebuilds only happen at document boundaries).
-  active_recorders_.clear();
+  // Rebuilds happen only at document boundaries, where no machine has live
+  // entries or an open recording; n may have changed, so both sets restart.
+  live_.Resize(n);
+  recorders_.Resize(n);
   min_memory_limit_ = 0;
   for (size_t i = 0; i < n; ++i) {
     if (owner_->instances_[i] == nullptr) continue;  // removed plan
@@ -381,12 +382,8 @@ void MultiQueryEngine::Dispatcher::BuildIndex() {
       min_memory_limit_ = limit;
     }
     MachineInfo& mi = info_[i];
-    mi.broadcast_elements = m.has_element_wildcard();
     mi.wants_text = m.has_text_nodes();
-    mi.bare_text = m.has_bare_text();
     mi.wants_attributes = m.has_unanchored_attributes();
-    mi.bare_attributes = m.query().root()->IsAttributeNode();
-    mi.output_is_element = m.output_is_element();
     for (const auto& entry : m.element_index()) {
       // Query names were interned at build time, before any document tag,
       // so they are always inside the table the postings were sized to.
@@ -394,7 +391,7 @@ void MultiQueryEngine::Dispatcher::BuildIndex() {
       // A symbol goes to the entry postings if any node naming it is a
       // query root (pushable with empty stacks); symbols named only by
       // non-root nodes are no-ops until the machine has live entries, so
-      // they dispatch through the touched-machine gate instead.
+      // they dispatch through the live set instead.
       bool is_entry = false;
       for (int id : entry.second) {
         if (m.node_is_root(id)) {
@@ -405,13 +402,21 @@ void MultiQueryEngine::Dispatcher::BuildIndex() {
       (is_entry ? postings_ : dependent_postings_)[entry.first].push_back(
           static_cast<uint32_t>(i));
     }
-    if (mi.broadcast_elements) {
+    if (m.has_element_wildcard()) {
       element_broadcast_.push_back(static_cast<uint32_t>(i));
     }
     if (mi.wants_attributes) {
       attribute_machines_.push_back(static_cast<uint32_t>(i));
+      if (m.query().root()->IsAttributeNode()) {
+        bare_attribute_machines_.push_back(static_cast<uint32_t>(i));
+      }
     }
-    if (mi.wants_text) text_machines_.push_back(static_cast<uint32_t>(i));
+    if (mi.wants_text) {
+      text_machines_.push_back(static_cast<uint32_t>(i));
+      if (m.has_bare_text()) {
+        bare_text_machines_.push_back(static_cast<uint32_t>(i));
+      }
+    }
   }
   // Plan-sharing shape as of this (re)build: how many subscriptions the
   // visit counters above are serving through how many machines/skeletons.
@@ -440,14 +445,40 @@ void MultiQueryEngine::Dispatcher::ResetStream() {
   targets_.clear();
   event_id_ = 0;
   // The engine just reset every machine eagerly, so nothing is mid-document;
-  // the next StartDocument re-touches machines as events reach them.
+  // the next StartDocument re-touches machines as events reach them. An
+  // aborted document may have left members in both sets: unwind them,
+  // O(members), not O(machines).
   touched_machines_.clear();
-  // Unwind the recorder flags through the active list — O(active), not
-  // O(machines) (the list names exactly the set flags).
-  for (uint32_t i : active_recorders_) is_active_recorder_[i] = 0;
-  active_recorders_.clear();
+  live_.Clear();
+  recorders_.Clear();
   open_symbols_.clear();
   pending_text_.Clear();
+}
+
+void MultiQueryEngine::Dispatcher::MachineSet::Resize(size_t n) {
+  members_.clear();
+  members_.reserve(n);
+  pos_.assign(n, kAbsent);
+}
+
+void MultiQueryEngine::Dispatcher::MachineSet::Assign(uint32_t i,
+                                                      bool present) {
+  if (present == contains(i)) return;
+  if (present) {
+    pos_[i] = static_cast<uint32_t>(members_.size());
+    members_.push_back(i);
+    return;
+  }
+  uint32_t last = members_.back();
+  members_[pos_[i]] = last;
+  pos_[last] = pos_[i];
+  members_.pop_back();
+  pos_[i] = kAbsent;
+}
+
+void MultiQueryEngine::Dispatcher::MachineSet::Clear() {
+  for (uint32_t i : members_) pos_[i] = kAbsent;
+  members_.clear();
 }
 
 void MultiQueryEngine::Dispatcher::AddTarget(size_t i, bool broadcast) {
@@ -457,6 +488,20 @@ void MultiQueryEngine::Dispatcher::AddTarget(size_t i, bool broadcast) {
   if (broadcast) ++owner_->dispatch_stats_.broadcast_visits;
 }
 
+template <typename InList>
+void MultiQueryEngine::Dispatcher::AddLiveTargets(
+    const std::vector<uint32_t>& list, bool broadcast, InList in_list) {
+  if (list.size() <= live_.size()) {
+    for (uint32_t i : list) {
+      if (live_.contains(i)) AddTarget(i, broadcast);
+    }
+  } else {
+    for (uint32_t i : live_.members()) {
+      if (in_list(i)) AddTarget(i, broadcast);
+    }
+  }
+}
+
 void MultiQueryEngine::Dispatcher::CollectTagTargets(Symbol symbol,
                                                      bool with_attributes) {
   targets_.clear();
@@ -464,54 +509,42 @@ void MultiQueryEngine::Dispatcher::CollectTagTargets(Symbol symbol,
   if (symbol != kNoSymbol && symbol < postings_.size()) {
     for (uint32_t i : postings_[symbol]) AddTarget(i, /*broadcast=*/false);
     // Dependent symbols (named only by non-root query nodes) are strict
-    // no-ops for a machine with no live stack entries; the touch stamp —
-    // one contiguous load, no pointer chase into the machine — over-
-    // approximates "has live entries" within a document.
-    for (uint32_t i : dependent_postings_[symbol]) {
-      if (machine_doc_gen_[i] == doc_gen_) AddTarget(i, /*broadcast=*/false);
-    }
+    // no-ops for a machine with no live stack entries. On the live-set
+    // side the machine's own tag index stands in for the posting (an
+    // entry-symbol hit there was already added above and dedups).
+    AddLiveTargets(dependent_postings_[symbol], /*broadcast=*/false,
+                   [&](uint32_t i) { return machine(i).names_tag(symbol); });
   }
   for (uint32_t i : element_broadcast_) AddTarget(i, /*broadcast=*/true);
-  for (uint32_t i : active_recorders_) AddTarget(i, /*broadcast=*/true);
+  for (uint32_t i : recorders_.members()) AddTarget(i, /*broadcast=*/true);
   if (with_attributes) {
-    // Unanchored attribute steps can match attributes of any element, but
-    // only while a context entry is open (or unconditionally for bare
-    // steps like //@id). The touch stamp screens out untouched machines
-    // (live count surely 0) before the live-entry load.
-    for (uint32_t i : attribute_machines_) {
-      if (info_[i].bare_attributes || (machine_doc_gen_[i] == doc_gen_ &&
-                                       machine(i).live_stack_entries() > 0)) {
-        AddTarget(i, /*broadcast=*/true);
-      }
+    // Unanchored attribute steps can match attributes of any element:
+    // unconditionally for bare steps like //@id, otherwise only while a
+    // context entry is open (//a//@id), i.e. for live machines.
+    for (uint32_t i : bare_attribute_machines_) {
+      AddTarget(i, /*broadcast=*/true);
     }
+    AddLiveTargets(attribute_machines_, /*broadcast=*/true,
+                   [&](uint32_t i) { return info_[i].wants_attributes; });
   }
 }
 
-void MultiQueryEngine::Dispatcher::SyncRecorder(size_t i) {
-  bool active = machine(i).recording_active();
-  if (active == (is_active_recorder_[i] != 0)) return;
-  if (active) {
-    is_active_recorder_[i] = 1;
-    active_recorders_.push_back(static_cast<uint32_t>(i));
-  } else {
-    is_active_recorder_[i] = 0;
-    active_recorders_.erase(
-        std::find(active_recorders_.begin(), active_recorders_.end(),
-                  static_cast<uint32_t>(i)));
-  }
+void MultiQueryEngine::Dispatcher::SyncSets(uint32_t i) {
+  const TwigMachine& m = machine(i);
+  live_.Assign(i, m.live_stack_entries() > 0);
+  recorders_.Assign(i, m.recording_active());
 }
 
 Status MultiQueryEngine::Dispatcher::FlushTextNode() {
   if (pending_text_.empty()) return Status::OK();
   targets_.clear();
   ++event_id_;
-  for (uint32_t i : text_machines_) {
-    if (info_[i].bare_text || (machine_doc_gen_[i] == doc_gen_ &&
-                               machine(i).live_stack_entries() > 0)) {
-      AddTarget(i, /*broadcast=*/false);
-    }
-  }
-  for (uint32_t i : active_recorders_) AddTarget(i, /*broadcast=*/true);
+  // A text step with a context (//a/text()) can only use the node while
+  // that context is open — a live machine; //text() takes every node.
+  for (uint32_t i : bare_text_machines_) AddTarget(i, /*broadcast=*/false);
+  AddLiveTargets(text_machines_, /*broadcast=*/false,
+                 [&](uint32_t i) { return info_[i].wants_text; });
+  for (uint32_t i : recorders_.members()) AddTarget(i, /*broadcast=*/true);
   ++owner_->dispatch_stats_.text_nodes;
   owner_->dispatch_stats_.text_visits += targets_.size();
   Status status = Status::OK();
@@ -529,12 +562,12 @@ Status MultiQueryEngine::Dispatcher::FlushTextNode() {
 Status MultiQueryEngine::Dispatcher::StartDocument() {
   if (!index_built_) BuildIndex();
   // Per-document dispatch state: clearing here (not only in ResetStream)
-  // lets RunEvents chain documents without an explicit stream reset. The
-  // recorder flags unwind through the active list — O(active recorders),
-  // not O(machines) (the list names exactly the set flags).
+  // lets RunEvents chain documents without an explicit stream reset. After
+  // a clean document both sets are already empty (EndDocument's empty-stack
+  // invariant), so their O(members) unwinds cost nothing.
   open_symbols_.clear();
-  for (uint32_t i : active_recorders_) is_active_recorder_[i] = 0;
-  active_recorders_.clear();
+  live_.Clear();
+  recorders_.Clear();
   pending_text_.Clear();
   // Machines are NOT reset here: bumping doc_gen_ makes every machine's
   // touch stamp stale, and TouchMachine() resets each one on the first
@@ -571,7 +604,7 @@ Status MultiQueryEngine::Dispatcher::StartElement(
   for (uint32_t i : targets_) {
     VITEX_RETURN_IF_ERROR(TouchMachine(i));
     VITEX_RETURN_IF_ERROR(machine(i).StartElement(event));
-    if (info_[i].output_is_element) SyncRecorder(i);
+    SyncSets(i);
   }
   return Status::OK();
 }
@@ -588,7 +621,7 @@ Status MultiQueryEngine::Dispatcher::EndElement(std::string_view name,
   for (uint32_t i : targets_) {
     VITEX_RETURN_IF_ERROR(TouchMachine(i));
     VITEX_RETURN_IF_ERROR(machine(i).EndElement(name, depth));
-    if (info_[i].output_is_element) SyncRecorder(i);
+    SyncSets(i);
   }
   return Status::OK();
 }
@@ -597,7 +630,7 @@ Status MultiQueryEngine::Dispatcher::Text(const xml::TextEvent& event) {
   // No query selects text and no recording is open: nothing can ever
   // consume this node, so don't even copy it. Both sets change only at tag
   // events, where the buffer is flushed first, so skipping here is sound.
-  if (text_machines_.empty() && active_recorders_.empty()) {
+  if (text_machines_.empty() && recorders_.empty()) {
     return Status::OK();
   }
   // Central coalescing: pieces merge here once instead of in every machine;

@@ -12,10 +12,15 @@
 //     queries name that tag — startElement touches only those machines, so
 //     per-event work scales with the number of *interested* queries, not
 //     registered ones;
+//   * tags named only below a query root, and text or attribute steps that
+//     need a context element, go only to machines in the *live set* — those
+//     with open stack entries right now — so a tag every subscription names
+//     (`//itemN/val` × 1000) costs the machines whose item is open, not the
+//     whole posting list;
 //   * queries with '*' element tests fall back to broadcast (they can match
 //     any tag), as do machines currently serializing an output fragment (a
 //     recording must observe every event in the matched subtree) and
-//     unanchored attribute steps like //@id (any element may carry them);
+//     context-free attribute steps like //@id (any element may carry them);
 //   * character data is coalesced once, centrally, and delivered as whole
 //     text nodes to machines that select text;
 //   * document-order sequence numbers are stamped by the SAX parser, so
@@ -55,6 +60,7 @@
 #ifndef VITEX_TWIGM_MULTI_QUERY_H_
 #define VITEX_TWIGM_MULTI_QUERY_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -295,12 +301,30 @@ class MultiQueryEngine {
    private:
     // Per-machine dispatch subscriptions, derived from the query shape.
     struct MachineInfo {
-      bool broadcast_elements = false;  // '*' test: every tag event
-      bool wants_text = false;          // any text() node
-      bool bare_text = false;           // //text(): every text node
-      bool wants_attributes = false;    // //@id, //a//@id: any tag w/ attrs
-      bool bare_attributes = false;     // //@id: no context entry needed
-      bool output_is_element = false;   // may open recordings
+      bool wants_text = false;        // any text() node
+      bool wants_attributes = false;  // //@id, //a//@id: any tag w/ attrs
+    };
+
+    // O(1) membership set over dense machine indices [0, n): members()
+    // lists the set in no particular order and pos_[i] is i's position in
+    // it (kAbsent when out). Adding is a push, removing a swap-remove, and
+    // Clear unwinds through the members — O(size), never O(n). Resize
+    // reserves n slots, so membership changes never allocate.
+    class MachineSet {
+     public:
+      void Resize(size_t n);
+      bool contains(uint32_t i) const { return pos_[i] != kAbsent; }
+      /// Inserts `i` if `present`, erases it otherwise (both idempotent).
+      void Assign(uint32_t i, bool present);
+      void Clear();
+      size_t size() const { return members_.size(); }
+      bool empty() const { return members_.empty(); }
+      const std::vector<uint32_t>& members() const { return members_; }
+
+     private:
+      static constexpr uint32_t kAbsent = UINT32_MAX;
+      std::vector<uint32_t> members_;
+      std::vector<uint32_t> pos_;
     };
 
     TwigMachine& machine(size_t i) {
@@ -309,8 +333,16 @@ class MultiQueryEngine {
 
     // Appends machine `i` to targets_ if not yet visited this event.
     void AddTarget(size_t i, bool broadcast);
+    // Adds the members of `list` that are in live_, walking whichever of
+    // the two is shorter; `in_list(i)` decides list membership for a live
+    // machine on the live-set side.
+    template <typename InList>
+    void AddLiveTargets(const std::vector<uint32_t>& list, bool broadcast,
+                        InList in_list);
     void CollectTagTargets(Symbol symbol, bool with_attributes);
-    void SyncRecorder(size_t i);
+    // Re-reads machine `i`'s live-entry count and recording state into
+    // live_ and recorders_ after a tag event was delivered to it.
+    void SyncSets(uint32_t i);
     Status FlushTextNode();
     // Lazily starts machine `i`'s document on the first event dispatched
     // to it (see doc_gen_ below). Must run before any event delivery.
@@ -329,16 +361,22 @@ class MultiQueryEngine {
     // match a query-root node, which can push with every stack empty — and
     // dependent_postings_ holds tags only named by non-root nodes, which
     // are strict no-ops until the machine has a live stack entry. Dependent
-    // postings are dispatched only to machines already touched this
-    // document, so a tag shared by many queries (`//itemN/val` × 1000: all
-    // name `val`) costs per event only the machines whose root actually
-    // opened, not every subscriber of the tag.
+    // postings are dispatched only to machines in live_, walking whichever
+    // of the posting list and the live set is shorter, so a tag shared by
+    // many queries (`//itemN/val` × 1000: all name `val`) costs per event
+    // only the machines whose root element is open right now.
     std::vector<std::vector<uint32_t>> postings_;
     std::vector<std::vector<uint32_t>> dependent_postings_;
     std::vector<MachineInfo> info_;
     std::vector<uint32_t> element_broadcast_;  // wildcard machines
+    // Machines with unanchored attribute steps / text() steps, and the
+    // subsets that need no context entry: //@id sees every attributed
+    // tag, //text() every text node. The others can use such an event
+    // only while live, so they are reached through live_.
     std::vector<uint32_t> attribute_machines_;
+    std::vector<uint32_t> bare_attribute_machines_;
     std::vector<uint32_t> text_machines_;
+    std::vector<uint32_t> bare_text_machines_;
 
     // Per-event target collection with O(1) dedup.
     std::vector<uint32_t> targets_;
@@ -353,15 +391,23 @@ class MultiQueryEngine {
     // per-document engine cost scales with the machines the document
     // touches, not with the number of registered plans. touched_machines_
     // names the machines started this document; only they are finished at
-    // EndDocument.
+    // EndDocument. The stamp only drives this start/finish bookkeeping;
+    // routing decisions read live_.
     std::vector<uint64_t> machine_doc_gen_;
     std::vector<uint32_t> touched_machines_;
     uint64_t doc_gen_ = 0;
 
-    // Machines with an open output recording: broadcast set, maintained
-    // after every dispatched event (recordings open/close only then).
-    std::vector<uint32_t> active_recorders_;
-    std::vector<uint8_t> is_active_recorder_;
+    // Machines with live_stack_entries() > 0: a machine enters on its 0→1
+    // change and leaves on 1→0. Entries are pushed and popped only by tag
+    // events, so the set is synced after each dispatched StartElement /
+    // EndElement (text and attribute deliveries never push). It needs no
+    // generation stamp: every clean document ends with all stacks empty
+    // (the EndDocument invariant), so it is empty at each boundary, and
+    // ResetStream unwinds an aborted document's members in O(live).
+    MachineSet live_;
+    // Machines with an open output recording: broadcast set, synced at the
+    // same points (recordings open/close only on tag events).
+    MachineSet recorders_;
 
     // Tag symbols of currently open elements (EndElement events carry no
     // symbol; the matching start did).

@@ -16,6 +16,7 @@
 #include "twigm/engine.h"
 #include "workload/protein_generator.h"
 #include "workload/xmark_generator.h"
+#include "xml/event_log.h"
 
 namespace vitex::twigm {
 namespace {
@@ -218,6 +219,187 @@ TEST(MultiQueryDispatchTest, ResetStreamAllowsLateRegistration) {
   ASSERT_TRUE(engine.RunString("<r><a/><b/></r>").ok());
   EXPECT_EQ(first.size(), 2u);
   EXPECT_EQ(second.size(), 1u);
+}
+
+// The service's feed shape: every subscription names the shared dependent
+// tag `val` under its own root tag, and the document opens each root once.
+std::string SharedDependentTagDoc(int items) {
+  std::string doc = "<feed>";
+  for (int i = 0; i < items; ++i) {
+    std::string tag = "item" + std::to_string(i);
+    doc += "<" + tag + "><val>v" + std::to_string(i) +
+           "</val><aux>x</aux></" + tag + ">";
+  }
+  return doc + "</feed>";
+}
+
+std::string ItemValQuery(int i) {
+  return "//item" + std::to_string(i) + "/val/text()";
+}
+
+// The visit counters one document adds to `before`.
+DispatchStats VisitDelta(const DispatchStats& before,
+                         const DispatchStats& after) {
+  DispatchStats d;
+  d.start_events = after.start_events - before.start_events;
+  d.start_visits = after.start_visits - before.start_visits;
+  d.end_visits = after.end_visits - before.end_visits;
+  d.text_nodes = after.text_nodes - before.text_nodes;
+  d.text_visits = after.text_visits - before.text_visits;
+  d.broadcast_visits = after.broadcast_visits - before.broadcast_visits;
+  return d;
+}
+
+void ExpectSameVisits(const DispatchStats& a, const DispatchStats& b) {
+  EXPECT_EQ(a.start_events, b.start_events);
+  EXPECT_EQ(a.start_visits, b.start_visits);
+  EXPECT_EQ(a.end_visits, b.end_visits);
+  EXPECT_EQ(a.text_nodes, b.text_nodes);
+  EXPECT_EQ(a.text_visits, b.text_visits);
+  EXPECT_EQ(a.broadcast_visits, b.broadcast_visits);
+}
+
+TEST(MultiQueryDispatchTest, SharedDependentTagVisitsOnlyLiveMachines) {
+  // 64 subscriptions all name `val`, but only one item is open at a time:
+  // a `val` event (and the text under it) is work for that one machine,
+  // however many earlier items this document already touched.
+  constexpr int kItems = 64;
+  std::string doc = SharedDependentTagDoc(kItems);
+  MultiQueryEngine engine;
+  std::vector<std::unique_ptr<VectorResultCollector>> handlers;
+  for (int i = 0; i < kItems; ++i) {
+    handlers.push_back(std::make_unique<VectorResultCollector>());
+    ASSERT_TRUE(engine.AddQuery(ItemValQuery(i), handlers.back().get()).ok());
+  }
+  ASSERT_TRUE(engine.RunString(doc).ok());
+  for (int i = 0; i < kItems; ++i) {
+    EXPECT_EQ(handlers[i]->SortedFragments(),
+              SingleEngineRun(ItemValQuery(i), doc))
+        << ItemValQuery(i);
+  }
+  const DispatchStats& ds = engine.dispatch_stats();
+  EXPECT_EQ(ds.start_events, 1u + 3u * kItems);
+  // item<i> (entry posting) + val (live) per item; aux and feed visit none.
+  EXPECT_LE(ds.start_visits, 2 * ds.start_events);
+  EXPECT_EQ(ds.start_visits, 2u * kItems);
+  // Each text node reaches only the machine whose item encloses it.
+  EXPECT_LE(ds.text_visits, ds.text_nodes);
+  EXPECT_EQ(ds.broadcast_visits, 0u);
+}
+
+// Feed queries plus an element-output query (opens recordings), a
+// context-bound attribute query and a query whose root stays live for the
+// whole document, so the live set and the recorder set both churn.
+std::vector<std::string> LifecycleQueries(int items) {
+  std::vector<std::string> queries;
+  for (int i = 0; i < items; ++i) queries.push_back(ItemValQuery(i));
+  queries.push_back("//item3");
+  queries.push_back("//item5//@k");
+  queries.push_back("//feed//aux/text()");
+  return queries;
+}
+
+std::string LifecycleDoc(int items) {
+  std::string doc = SharedDependentTagDoc(items);
+  // One attributed element inside item5 for the attribute step.
+  std::string needle = "<item5><val>";
+  doc.replace(doc.find(needle), needle.size(), "<item5><val k=\"5\">");
+  return doc;
+}
+
+TEST(MultiQueryDispatchTest, LiveSetRecoversFromAbortedDocument) {
+  constexpr int kItems = 16;
+  std::vector<std::string> queries = LifecycleQueries(kItems);
+  std::string doc = LifecycleDoc(kItems);
+
+  // Reference: the final subscription set on a fresh engine.
+  std::vector<std::string> final_queries = queries;
+  final_queries[7] = "//item7/aux/text()";
+  MultiQueryEngine fresh;
+  for (const std::string& q : final_queries) {
+    ASSERT_TRUE(fresh.AddQuery(q, nullptr).ok()) << q;
+  }
+  ASSERT_TRUE(fresh.RunString(doc).ok());
+  DispatchStats clean = fresh.dispatch_stats();
+
+  MultiQueryEngine engine;
+  std::vector<std::unique_ptr<VectorResultCollector>> handlers;
+  std::vector<QueryId> ids;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    handlers.push_back(std::make_unique<VectorResultCollector>());
+    TwigMachine::Options options;
+    if (i == 7) options.memory_limit_bytes = 256;
+    auto id = engine.AddQuery(queries[i], handlers.back().get(), options);
+    ASSERT_TRUE(id.ok()) << queries[i];
+    ids.push_back(id.value());
+  }
+  // Abort inside <item7><val>: the text node overruns item7's budget while
+  // item7's machine (and the //feed machine) hold live entries.
+  std::string poison = SharedDependentTagDoc(kItems);
+  std::string needle = "<item7><val>v7";
+  poison.replace(poison.find(needle), needle.size(),
+                 "<item7><val>" + std::string(4096, 'y'));
+  xml::SaxParserOptions record_options;
+  record_options.symbols = engine.symbols();
+  auto poison_log = xml::RecordEvents(poison, record_options);
+  ASSERT_TRUE(poison_log.ok());
+  EXPECT_TRUE(engine.RunEvents(poison_log.value()).IsResourceExhausted());
+
+  engine.ResetStream();
+  ASSERT_TRUE(engine.RemoveQuery(ids[7]).ok());
+  auto replacement = engine.AddQuery(final_queries[7], handlers[7].get());
+  ASSERT_TRUE(replacement.ok());
+  for (auto& h : handlers) h->Clear();
+
+  ASSERT_TRUE(engine.RunString(doc).ok());
+  for (size_t i = 0; i < final_queries.size(); ++i) {
+    EXPECT_EQ(handlers[i]->SortedFragments(),
+              SingleEngineRun(final_queries[i], doc))
+        << final_queries[i];
+  }
+  ExpectSameVisits(engine.dispatch_stats(), clean);
+}
+
+TEST(MultiQueryDispatchTest, ChainedDocumentsKeepIdenticalVisits) {
+  // RunEvents chains documents with no ResetStream in between: the live
+  // and recorder sets must be empty again at every boundary, so each
+  // document's results and visit counts repeat exactly.
+  constexpr int kItems = 16;
+  constexpr int kDocs = 50;
+  std::vector<std::string> queries = LifecycleQueries(kItems);
+  std::string doc = LifecycleDoc(kItems);
+  MultiQueryEngine engine;
+  std::vector<std::unique_ptr<VectorResultCollector>> handlers;
+  for (const std::string& q : queries) {
+    handlers.push_back(std::make_unique<VectorResultCollector>());
+    ASSERT_TRUE(engine.AddQuery(q, handlers.back().get()).ok()) << q;
+  }
+  xml::SaxParserOptions record_options;
+  record_options.symbols = engine.symbols();
+  auto log = xml::RecordEvents(doc, record_options);
+  ASSERT_TRUE(log.ok());
+
+  std::vector<std::vector<std::string>> expected;
+  for (const std::string& q : queries) {
+    expected.push_back(SingleEngineRun(q, doc));
+  }
+  DispatchStats first;
+  for (int d = 0; d < kDocs; ++d) {
+    DispatchStats before = engine.dispatch_stats();
+    for (auto& h : handlers) h->Clear();
+    ASSERT_TRUE(engine.RunEvents(log.value()).ok()) << "doc " << d;
+    DispatchStats delta = VisitDelta(before, engine.dispatch_stats());
+    if (d == 0) {
+      first = delta;
+      EXPECT_GT(first.broadcast_visits, 0u);  // recorder + attribute paths
+    } else {
+      ExpectSameVisits(delta, first);
+    }
+    for (size_t i = 0; i < queries.size(); ++i) {
+      ASSERT_EQ(handlers[i]->SortedFragments(), expected[i])
+          << queries[i] << " doc " << d;
+    }
+  }
 }
 
 }  // namespace

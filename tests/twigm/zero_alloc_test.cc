@@ -130,6 +130,33 @@ std::string XmarkDoc() {
   return doc.ok() ? std::move(doc).value() : std::string();
 }
 
+// The service's feed shape: every item's subscription names the shared
+// dependent tag `val`, so the dispatcher's live-machine set churns on
+// every item (DESIGN.md §12).
+std::string FeedDoc() {
+  std::string doc = "<feed>";
+  for (int i = 0; i < 64; ++i) {
+    std::string tag = "item" + std::to_string(i);
+    doc += "<" + tag + "><val>" + std::to_string(i * 7) +
+           "</val><aux>x</aux></" + tag + ">";
+  }
+  return doc + "</feed>";
+}
+
+// Per-item queries (private skeletons) plus same-skeleton value queries
+// (one shared plan with several groups when share_plans is on) and an
+// element-output query for the recorder set.
+std::vector<std::string> FeedQueries() {
+  std::vector<std::string> queries;
+  for (int i = 0; i < 64; ++i) {
+    queries.push_back("//item" + std::to_string(i) + "/val/text()");
+  }
+  queries.push_back("//item9[val = '63']/aux/text()");
+  queries.push_back("//item9[val = '64']/aux/text()");
+  queries.push_back("//item12");
+  return queries;
+}
+
 // The paper's PSD workload query plus shared-skeleton variants (same twig,
 // different literals — one shared plan, several groups when share_plans is
 // on), an element-output query (exercises the recording/candidate pools)
@@ -223,6 +250,15 @@ TEST(ZeroAllocTest, XmarkSharedPlans) {
 
 TEST(ZeroAllocTest, XmarkPrivateMachines) {
   ExpectZeroAllocSteadyState(XmarkDoc(), XmarkQueries(),
+                             /*share_plans=*/false);
+}
+
+TEST(ZeroAllocTest, FeedSharedPlans) {
+  ExpectZeroAllocSteadyState(FeedDoc(), FeedQueries(), /*share_plans=*/true);
+}
+
+TEST(ZeroAllocTest, FeedPrivateMachines) {
+  ExpectZeroAllocSteadyState(FeedDoc(), FeedQueries(),
                              /*share_plans=*/false);
 }
 
