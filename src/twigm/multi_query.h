@@ -24,8 +24,9 @@
 //   * character data is coalesced once, centrally, and delivered as whole
 //     text nodes to machines that select text;
 //   * document-order sequence numbers are stamped by the SAX parser, so
-//     skipped events never desynchronize machines (UnionEngine's dedup
-//     depends on identical numbering across branches).
+//     skipped events never desynchronize machines, and every route numbers
+//     a node identically (the difftest oracle compares (sequence,
+//     fragment) pairs across routes).
 //
 // On top of dispatch, the engine *hash-conses query plans* (DESIGN.md §7):
 // each query is canonicalized to its structural skeleton (axes, name tests,
@@ -157,9 +158,9 @@ class MultiQueryEngine {
   Result<QueryId> AddQuery(std::string_view xpath, ResultHandler* results,
                            TwigMachine::Options options = {});
 
-  /// Registers an already-built machine (used by UnionEngine and callers
-  /// that compile queries themselves). The machine must have been built
-  /// against this engine's symbols() table; InvalidArgument otherwise.
+  /// Registers an already-built machine (for callers that compile queries
+  /// themselves). The machine must have been built against this engine's
+  /// symbols() table; InvalidArgument otherwise.
   /// Under plan sharing the machine may be discarded in favor of an
   /// existing instance with the same skeleton and options — its
   /// ResultHandler then joins that plan's subscriber list.

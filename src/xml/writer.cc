@@ -34,17 +34,7 @@ Status FileSink::Close() {
   return Status::OK();
 }
 
-XmlWriter::XmlWriter(OutputSink* sink) : XmlWriter(sink, Options()) {}
-
-XmlWriter::XmlWriter(OutputSink* sink, Options options)
-    : sink_(sink), options_(options) {}
-
-Status XmlWriter::Indent() {
-  if (options_.indent < 0) return Status::OK();
-  std::string pad = "\n";
-  pad.append(static_cast<size_t>(options_.indent) * open_.size(), ' ');
-  return sink_->Write(pad);
-}
+XmlWriter::XmlWriter(OutputSink* sink) : sink_(sink) {}
 
 Status XmlWriter::CloseStartTagIfOpen() {
   if (!start_tag_open_) return Status::OK();
@@ -59,15 +49,10 @@ Status XmlWriter::StartElement(std::string_view name) {
   }
   if (!wrote_declaration_) {
     wrote_declaration_ = true;
-    if (options_.declaration) {
-      VITEX_RETURN_IF_ERROR(
-          sink_->Write("<?xml version=\"1.0\" encoding=\"UTF-8\"?>"));
-      if (options_.indent >= 0) VITEX_RETURN_IF_ERROR(sink_->Write("\n"));
-    }
+    VITEX_RETURN_IF_ERROR(
+        sink_->Write("<?xml version=\"1.0\" encoding=\"UTF-8\"?>"));
   }
   VITEX_RETURN_IF_ERROR(CloseStartTagIfOpen());
-  if (!open_.empty() && !last_was_text_) VITEX_RETURN_IF_ERROR(Indent());
-  last_was_text_ = false;
   VITEX_RETURN_IF_ERROR(sink_->Write("<"));
   VITEX_RETURN_IF_ERROR(sink_->Write(name));
   open_.emplace_back(name);
@@ -97,7 +82,6 @@ Status XmlWriter::Text(std::string_view text) {
     return Status::InvalidArgument("text outside the root element");
   }
   VITEX_RETURN_IF_ERROR(CloseStartTagIfOpen());
-  last_was_text_ = true;
   return sink_->Write(EscapeText(text));
 }
 
@@ -119,11 +103,8 @@ Status XmlWriter::EndElement() {
   open_.pop_back();
   if (start_tag_open_) {
     start_tag_open_ = false;
-    last_was_text_ = false;
     return sink_->Write("/>");
   }
-  if (!last_was_text_) VITEX_RETURN_IF_ERROR(Indent());
-  last_was_text_ = false;
   VITEX_RETURN_IF_ERROR(sink_->Write("</"));
   VITEX_RETURN_IF_ERROR(sink_->Write(name));
   return sink_->Write(">");
@@ -140,7 +121,6 @@ Status XmlWriter::Finish() {
     return Status::InvalidArgument("Finish with unclosed element '" +
                                    open_.back() + "'");
   }
-  if (options_.indent >= 0) VITEX_RETURN_IF_ERROR(sink_->Write("\n"));
   return Status::OK();
 }
 

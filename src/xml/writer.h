@@ -53,20 +53,11 @@ class FileSink : public OutputSink {
   uint64_t bytes_written_ = 0;
 };
 
-/// A push-style XML serializer with balanced-tag checking and optional
-/// indentation.
+/// A push-style XML serializer with balanced-tag checking. Output is
+/// compact (no insignificant whitespace) and starts with an XML declaration.
 class XmlWriter {
  public:
-  struct Options {
-    /// Spaces per indent level; negative disables all insignificant
-    /// whitespace (compact output, the default for generated datasets).
-    int indent = -1;
-    /// Emit an XML declaration as the first bytes.
-    bool declaration = true;
-  };
-
   explicit XmlWriter(OutputSink* sink);
-  XmlWriter(OutputSink* sink, Options options);
 
   /// Opens `<name ...>`; attributes are passed as alternating name/value
   /// pairs via AddAttribute before the tag is closed by the next content.
@@ -89,14 +80,11 @@ class XmlWriter {
 
  private:
   Status CloseStartTagIfOpen();
-  Status Indent();
 
   OutputSink* sink_;
-  Options options_;
   std::vector<std::string> open_;
   bool start_tag_open_ = false;
   bool wrote_declaration_ = false;
-  bool last_was_text_ = false;
 };
 
 }  // namespace vitex::xml

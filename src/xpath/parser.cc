@@ -18,7 +18,7 @@ class Parser {
     path.absolute = true;
     VITEX_RETURN_IF_ERROR(ParseSteps(&path, /*top_level=*/true));
     if (At(TokenKind::kPipe)) {
-      return Error("'|' union queries must be parsed with ParseXPathUnion");
+      return Error("'|' union queries are not supported");
     }
     if (!At(TokenKind::kEnd)) {
       return Error("unexpected trailing tokens");
@@ -27,24 +27,6 @@ class Parser {
       return Status::ParseError("XPath query has no steps");
     }
     return path;
-  }
-
-  Result<std::vector<Path>> ParseUnion() {
-    std::vector<Path> out;
-    while (true) {
-      Path path;
-      path.absolute = true;
-      VITEX_RETURN_IF_ERROR(ParseSteps(&path, /*top_level=*/true));
-      if (path.steps.empty()) {
-        return Status::ParseError("XPath query has no steps");
-      }
-      out.push_back(std::move(path));
-      if (Accept(TokenKind::kPipe)) continue;
-      if (!At(TokenKind::kEnd)) {
-        return Error("unexpected trailing tokens");
-      }
-      return out;
-    }
   }
 
  private:
@@ -330,12 +312,6 @@ Result<Path> ParseXPath(std::string_view query) {
   VITEX_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(query));
   Parser parser(std::move(tokens));
   return parser.ParseQuery();
-}
-
-Result<std::vector<Path>> ParseXPathUnion(std::string_view query) {
-  VITEX_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(query));
-  Parser parser(std::move(tokens));
-  return parser.ParseUnion();
 }
 
 }  // namespace vitex::xpath

@@ -30,11 +30,8 @@
 namespace vitex::xpath {
 
 /// Parses a complete XPath query. The result is always an absolute path with
-/// at least one step. Rejects '|' unions (use ParseXPathUnion).
+/// at least one step. Rejects '|' unions, which are outside the fragment.
 Result<Path> ParseXPath(std::string_view query);
-
-/// Parses a union query `p1 | p2 | ...` into its branch paths (one or more).
-Result<std::vector<Path>> ParseXPathUnion(std::string_view query);
 
 }  // namespace vitex::xpath
 

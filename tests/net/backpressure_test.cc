@@ -4,6 +4,9 @@
 // four publisher connections pushing documents, subscriber sessions
 // churning (connect/subscribe/close) mid-stream, one stalled reader that
 // subscribes and never reads, and a healthy reader draining everything.
+// Publishers stay at most a small window of documents ahead of the
+// healthy reader, so only the stalled reader can outgrow its outbuf, even
+// when the healthy one is descheduled under CPU contention.
 // The stalled reader must be EVICTED (bounded cost, BYE(kEvicted)
 // best-effort) without the healthy reader losing or duplicating a single
 // MATCH, and without ingest stalling. The drop policy variant keeps the
@@ -14,6 +17,7 @@
 #if defined(__linux__)
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -70,6 +74,11 @@ TEST_F(NetBackpressureTest, StalledReaderIsEvictedWhileEveryoneElseStreams) {
   constexpr int kPublishers = 4;
   constexpr int kDocsPerPublisher = 150;
   constexpr int kDocs = kPublishers * kDocsPerPublisher;
+  // Unread documents the healthy reader may fall behind by: 32 MATCH
+  // frames of ~300 B (plus one in-flight Publish per publisher) stay well
+  // under the 32 KiB cap. The stalled reader still gets all kDocs
+  // (~180 KB) and must be evicted.
+  constexpr int kWindow = 32;
 
   // The stalled reader: subscribes to the hot topic, then never reads.
   auto stalled = Connect(/*so_rcvbuf=*/4 * 1024);
@@ -83,6 +92,8 @@ TEST_F(NetBackpressureTest, StalledReaderIsEvictedWhileEveryoneElseStreams) {
 
   // Four publisher connections, each its own thread and session.
   std::atomic<int> published{0};
+  std::atomic<int> received{0};
+  std::atomic<bool> drain_done{false};
   std::atomic<bool> publish_failed{false};
   std::vector<std::thread> publishers;
   for (int p = 0; p < kPublishers; ++p) {
@@ -94,6 +105,10 @@ TEST_F(NetBackpressureTest, StalledReaderIsEvictedWhileEveryoneElseStreams) {
         return;
       }
       for (int d = p; d < kDocs; d += kPublishers) {
+        while (published.load() - received.load() >= kWindow &&
+               !drain_done.load()) {
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
         if (!(*client)->Publish(Doc(d)).ok()) {
           publish_failed.store(true);
           return;
@@ -118,17 +133,26 @@ TEST_F(NetBackpressureTest, StalledReaderIsEvictedWhileEveryoneElseStreams) {
     }
   });
 
-  // Drain the healthy reader while everything else races.
+  // Drain the healthy reader while everything else races. A failed poll is
+  // asserted only after every thread is joined: returning with joinable
+  // threads would terminate the whole test binary.
   std::vector<std::string> got;
+  Status poll_status;
   while (got.size() < static_cast<size_t>(kDocs)) {
     auto match = (*healthy)->PollMatch(10000);
-    ASSERT_TRUE(match.ok()) << match.status().ToString();
+    if (!match.ok()) {
+      poll_status = match.status();
+      break;
+    }
     if (!match->has_value()) break;  // 10s of silence: fail below
     got.push_back(std::move((*match)->fragment));
+    received.fetch_add(1);
   }
+  drain_done.store(true);  // publishers stop waiting on the window
   for (auto& t : publishers) t.join();
   stop_churn.store(true);
   churner.join();
+  ASSERT_TRUE(poll_status.ok()) << poll_status.ToString();
   ASSERT_FALSE(publish_failed.load());
 
   // The healthy reader saw every hot fragment exactly once, in publish

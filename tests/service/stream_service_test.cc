@@ -125,6 +125,7 @@ TEST(StreamServiceTest, InvalidQueryRejectedSynchronously) {
   StreamService service;
   EXPECT_FALSE(service.Subscribe("][not-xpath").ok());
   EXPECT_FALSE(service.Subscribe("//a[").ok());
+  EXPECT_FALSE(service.Subscribe("//a | //b").ok());
   EXPECT_EQ(service.stats().active_subscriptions, 0u);
 }
 

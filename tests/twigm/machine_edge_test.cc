@@ -62,7 +62,8 @@ TEST(MachineEdgeTest, ManyAttributesOnOneElement) {
 
 TEST(MachineEdgeTest, SequenceKeysAreDocumentOrderAndQueryIndependent) {
   // Two different queries over the same stream must assign the same key to
-  // the same node (the property UnionEngine's dedup relies on).
+  // the same node: this makes dispatcher event-skipping safe and the
+  // difftest oracle's cross-route (sequence, fragment) comparison exact.
   const char* doc = "<a k=\"v\"><b>t</b><c/></a>";
   VectorResultCollector by_wildcard, by_name;
   auto e1 = Engine::Create("//*", &by_wildcard);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/random.h"
 #include "workload/book_generator.h"
 #include "workload/protein_generator.h"
@@ -63,22 +66,40 @@ TEST(ProteinGeneratorTest, ReferenceProbabilityRespected) {
   auto doc = GenerateProteinString(options);
   ASSERT_TRUE(doc.ok());
   size_t entries_with_ref = 0, pos = 0;
-  // Count entries, then entries containing <reference>.
+  // Count entries, then entries containing <reference>. Every entry also
+  // carries exactly one <sequence>.
   auto dom = xml::ParseIntoDom(doc.value());
   ASSERT_TRUE(dom.ok());
   for (const xml::DomNode* e = dom->root()->first_child; e != nullptr;
        e = e->next_sibling) {
     if (!e->IsElement()) continue;
+    bool has_ref = false;
+    int sequences = 0;
     for (const xml::DomNode* c = e->first_child; c != nullptr;
          c = c->next_sibling) {
-      if (c->IsElement() && c->name == "reference") {
-        ++entries_with_ref;
-        break;
-      }
+      if (!c->IsElement()) continue;
+      if (c->name == "reference") has_ref = true;
+      if (c->name == "sequence") ++sequences;
     }
+    if (has_ref) ++entries_with_ref;
+    EXPECT_EQ(sequences, 1);
   }
   (void)pos;
   EXPECT_NEAR(static_cast<double>(entries_with_ref) / 300.0, 0.5, 0.12);
+
+  // References nest ProteinDatabase/ProteinEntry/reference/refinfo/authors.
+  int max_depth = 0;
+  std::vector<const xml::DomNode*> stack = {dom->root()};
+  while (!stack.empty()) {
+    const xml::DomNode* n = stack.back();
+    stack.pop_back();
+    max_depth = std::max(max_depth, n->depth);
+    for (const xml::DomNode* c = n->first_child; c != nullptr;
+         c = c->next_sibling) {
+      if (c->IsElement()) stack.push_back(c);
+    }
+  }
+  EXPECT_GE(max_depth, 5);
 }
 
 TEST(ProteinGeneratorTest, FileGenerationReachesTarget) {

@@ -8,31 +8,25 @@
 namespace vitex::xml {
 namespace {
 
-std::string Write(const std::function<Status(XmlWriter*)>& body,
-                  XmlWriter::Options options = {}) {
+// Every document the writer produces starts with this declaration.
+constexpr char kDecl[] = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
+
+std::string Write(const std::function<Status(XmlWriter*)>& body) {
   std::string out;
   StringSink sink(&out);
-  XmlWriter w(&sink, options);
+  XmlWriter w(&sink);
   Status s = body(&w);
   EXPECT_TRUE(s.ok()) << s;
   EXPECT_TRUE(w.Finish().ok());
   return out;
 }
 
-XmlWriter::Options NoDecl() {
-  XmlWriter::Options options;
-  options.declaration = false;
-  return options;
-}
-
 TEST(XmlWriterTest, MinimalElement) {
-  std::string out = Write(
-      [](XmlWriter* w) -> Status {
-        VITEX_RETURN_IF_ERROR(w->StartElement("a"));
-        return w->EndElement();
-      },
-      NoDecl());
-  EXPECT_EQ(out, "<a/>");
+  std::string out = Write([](XmlWriter* w) -> Status {
+    VITEX_RETURN_IF_ERROR(w->StartElement("a"));
+    return w->EndElement();
+  });
+  EXPECT_EQ(out, std::string(kDecl) + "<a/>");
 }
 
 TEST(XmlWriterTest, DeclarationWrittenByDefault) {
@@ -44,64 +38,43 @@ TEST(XmlWriterTest, DeclarationWrittenByDefault) {
 }
 
 TEST(XmlWriterTest, TextElementEscapes) {
-  std::string out = Write(
-      [](XmlWriter* w) -> Status {
-        VITEX_RETURN_IF_ERROR(w->StartElement("a"));
-        VITEX_RETURN_IF_ERROR(w->TextElement("b", "x<y & z"));
-        return w->EndElement();
-      },
-      NoDecl());
-  EXPECT_EQ(out, "<a><b>x&lt;y &amp; z</b></a>");
+  std::string out = Write([](XmlWriter* w) -> Status {
+    VITEX_RETURN_IF_ERROR(w->StartElement("a"));
+    VITEX_RETURN_IF_ERROR(w->TextElement("b", "x<y & z"));
+    return w->EndElement();
+  });
+  EXPECT_EQ(out, std::string(kDecl) + "<a><b>x&lt;y &amp; z</b></a>");
 }
 
 TEST(XmlWriterTest, AttributesEscaped) {
-  std::string out = Write(
-      [](XmlWriter* w) -> Status {
-        VITEX_RETURN_IF_ERROR(w->StartElement("a"));
-        VITEX_RETURN_IF_ERROR(w->AddAttribute("x", "say \"hi\" & <bye>"));
-        return w->EndElement();
-      },
-      NoDecl());
-  EXPECT_EQ(out, "<a x=\"say &quot;hi&quot; &amp; &lt;bye&gt;\"/>");
+  std::string out = Write([](XmlWriter* w) -> Status {
+    VITEX_RETURN_IF_ERROR(w->StartElement("a"));
+    VITEX_RETURN_IF_ERROR(w->AddAttribute("x", "say \"hi\" & <bye>"));
+    return w->EndElement();
+  });
+  EXPECT_EQ(out, std::string(kDecl) +
+                     "<a x=\"say &quot;hi&quot; &amp; &lt;bye&gt;\"/>");
 }
 
 TEST(XmlWriterTest, NestedStructure) {
-  std::string out = Write(
-      [](XmlWriter* w) -> Status {
-        VITEX_RETURN_IF_ERROR(w->StartElement("book"));
-        VITEX_RETURN_IF_ERROR(w->StartElement("section"));
-        VITEX_RETURN_IF_ERROR(w->TextElement("title", "Intro"));
-        VITEX_RETURN_IF_ERROR(w->EndElement());
-        return w->EndElement();
-      },
-      NoDecl());
-  EXPECT_EQ(out, "<book><section><title>Intro</title></section></book>");
+  std::string out = Write([](XmlWriter* w) -> Status {
+    VITEX_RETURN_IF_ERROR(w->StartElement("book"));
+    VITEX_RETURN_IF_ERROR(w->StartElement("section"));
+    VITEX_RETURN_IF_ERROR(w->TextElement("title", "Intro"));
+    VITEX_RETURN_IF_ERROR(w->EndElement());
+    return w->EndElement();
+  });
+  EXPECT_EQ(out, std::string(kDecl) +
+                     "<book><section><title>Intro</title></section></book>");
 }
 
 TEST(XmlWriterTest, CommentWritten) {
-  std::string out = Write(
-      [](XmlWriter* w) -> Status {
-        VITEX_RETURN_IF_ERROR(w->StartElement("a"));
-        VITEX_RETURN_IF_ERROR(w->Comment(" note "));
-        return w->EndElement();
-      },
-      NoDecl());
-  EXPECT_EQ(out, "<a><!-- note --></a>");
-}
-
-TEST(XmlWriterTest, IndentedOutput) {
-  XmlWriter::Options options;
-  options.declaration = false;
-  options.indent = 2;
-  std::string out = Write(
-      [](XmlWriter* w) -> Status {
-        VITEX_RETURN_IF_ERROR(w->StartElement("a"));
-        VITEX_RETURN_IF_ERROR(w->StartElement("b"));
-        VITEX_RETURN_IF_ERROR(w->EndElement());
-        return w->EndElement();
-      },
-      options);
-  EXPECT_EQ(out, "<a>\n  <b/>\n</a>\n");
+  std::string out = Write([](XmlWriter* w) -> Status {
+    VITEX_RETURN_IF_ERROR(w->StartElement("a"));
+    VITEX_RETURN_IF_ERROR(w->Comment(" note "));
+    return w->EndElement();
+  });
+  EXPECT_EQ(out, std::string(kDecl) + "<a><!-- note --></a>");
 }
 
 TEST(XmlWriterErrorTest, InvalidNamesRejected) {
@@ -155,16 +128,14 @@ TEST(XmlWriterErrorTest, DoubleDashCommentRejected) {
 // Round trip: whatever the writer produces, the parser accepts and the DOM
 // reproduces the logical structure.
 TEST(XmlWriterRoundTripTest, WriterOutputParses) {
-  std::string out = Write(
-      [](XmlWriter* w) -> Status {
-        VITEX_RETURN_IF_ERROR(w->StartElement("root"));
-        VITEX_RETURN_IF_ERROR(w->AddAttribute("version", "1 & \"2\""));
-        VITEX_RETURN_IF_ERROR(w->TextElement("item", "<escaped> & 'fine'"));
-        VITEX_RETURN_IF_ERROR(w->StartElement("empty"));
-        VITEX_RETURN_IF_ERROR(w->EndElement());
-        return w->EndElement();
-      },
-      NoDecl());
+  std::string out = Write([](XmlWriter* w) -> Status {
+    VITEX_RETURN_IF_ERROR(w->StartElement("root"));
+    VITEX_RETURN_IF_ERROR(w->AddAttribute("version", "1 & \"2\""));
+    VITEX_RETURN_IF_ERROR(w->TextElement("item", "<escaped> & 'fine'"));
+    VITEX_RETURN_IF_ERROR(w->StartElement("empty"));
+    VITEX_RETURN_IF_ERROR(w->EndElement());
+    return w->EndElement();
+  });
   auto doc = ParseIntoDom(out);
   ASSERT_TRUE(doc.ok()) << doc.status();
   const DomNode* root = doc->root();
@@ -184,16 +155,13 @@ TEST(FileSinkTest, WritesAndReportsBytes) {
   {
     FileSink sink;
     ASSERT_TRUE(sink.Open(path).ok());
-    XmlWriter w(&sink, [] {
-      XmlWriter::Options o;
-      o.declaration = false;
-      return o;
-    }());
+    XmlWriter w(&sink);
     ASSERT_TRUE(w.StartElement("a").ok());
     ASSERT_TRUE(w.Text("hello").ok());
     ASSERT_TRUE(w.EndElement().ok());
     ASSERT_TRUE(w.Finish().ok());
-    EXPECT_EQ(sink.bytes_written(), std::string("<a>hello</a>").size());
+    EXPECT_EQ(sink.bytes_written(),
+              (std::string(kDecl) + "<a>hello</a>").size());
     ASSERT_TRUE(sink.Close().ok());
   }
   class Counter : public ContentHandler {

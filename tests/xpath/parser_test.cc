@@ -232,6 +232,14 @@ TEST(ParserErrorTest, TrailingGarbage) {
   EXPECT_TRUE(ParseXPath("//a b").status().IsParseError());
 }
 
+TEST(ParserErrorTest, UnionRejected) {
+  Status status = ParseXPath("//a | //b").status();
+  EXPECT_TRUE(status.IsParseError());
+  EXPECT_NE(status.message().find("union queries are not supported"),
+            std::string::npos)
+      << status;
+}
+
 TEST(ParserErrorTest, StepsAfterAttribute) {
   EXPECT_TRUE(ParseXPath("//a/@id/b").status().IsParseError());
 }
