@@ -1,5 +1,5 @@
 // Throughput of the differential oracle itself: cross-checks per second
-// over each workload, with and without the StreamService route (the only
+// over each workload, with and without the vitex::Service route (the only
 // route that spins up threads per check). This bounds what an overnight
 // difftest_main campaign can cover and flags regressions that would
 // silently shrink nightly fuzz coverage.

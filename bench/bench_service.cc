@@ -1,7 +1,7 @@
 // Experiment S1: pub/sub service throughput vs. shard count × subscription
 // count × publisher stream count. The paper's motivating deployment — a
 // document feed fanned out to many standing subscriptions — run through
-// service::StreamService: documents parsed on per-stream ingest threads
+// vitex::Service: documents parsed on per-stream ingest threads
 // (concurrent against the frozen symbol table), replayed into every shard,
 // match work split across shards by subscription hash-partitioning.
 //
@@ -22,10 +22,11 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_json.h"
-#include "service/stream_service.h"
+#include "service/vitex.h"
 #include "xml/simd_scan.h"
 
 namespace {
@@ -59,19 +60,21 @@ void BM_ServiceThroughput(benchmark::State& state) {
   const int items_per_doc = static_cast<int>(state.range(3));
   constexpr int kDocsPerIteration = 8;
 
-  vitex::service::StreamServiceOptions options;
+  vitex::ServiceOptions options;
   options.shard_count = static_cast<size_t>(shards);
   options.stream_count = static_cast<size_t>(streams);
   options.queue_capacity = 32;
-  vitex::service::StreamService service(options);
+  vitex::Service service(options);
   // Disjoint-tag subscriptions: //item<i>/val/text(), one per tag.
+  std::vector<vitex::Subscription> standing;  // dropping one unsubscribes
   for (int i = 0; i < subs; ++i) {
-    auto id = service.Subscribe("//item" + std::to_string(i) +
-                                "/val/text()");
-    if (!id.ok()) {
-      state.SkipWithError(id.status().ToString().c_str());
+    auto sub = service.Subscribe("//item" + std::to_string(i) +
+                                 "/val/text()");
+    if (!sub.ok()) {
+      state.SkipWithError(sub.status().ToString().c_str());
       return;
     }
+    standing.push_back(std::move(sub).value());
   }
   std::vector<std::string> docs;
   uint64_t doc_bytes = 0;
@@ -97,7 +100,7 @@ void BM_ServiceThroughput(benchmark::State& state) {
     }
   }
 
-  vitex::service::ServiceStats stats = service.stats();
+  vitex::ServiceStats stats = service.stats();
   state.SetBytesProcessed(state.iterations() * doc_bytes);
   state.counters["shards"] = shards;
   state.counters["subscriptions"] = subs;
@@ -153,18 +156,20 @@ void BM_SmallDocsE2E(benchmark::State& state) {
   constexpr int kDocsPerIteration = 64;
   constexpr int kItemsPerDoc = 4;  // ~400-byte documents
 
-  vitex::service::StreamServiceOptions options;
+  vitex::ServiceOptions options;
   options.shard_count = static_cast<size_t>(shards);
   options.stream_count = static_cast<size_t>(streams);
   options.queue_capacity = 128;
-  vitex::service::StreamService service(options);
+  vitex::Service service(options);
+  std::vector<vitex::Subscription> standing;  // dropping one unsubscribes
   for (int i = 0; i < kSubs; ++i) {
-    auto id = service.Subscribe("//item" + std::to_string(i) +
-                                "/val/text()");
-    if (!id.ok()) {
-      state.SkipWithError(id.status().ToString().c_str());
+    auto sub = service.Subscribe("//item" + std::to_string(i) +
+                                 "/val/text()");
+    if (!sub.ok()) {
+      state.SkipWithError(sub.status().ToString().c_str());
       return;
     }
+    standing.push_back(std::move(sub).value());
   }
   std::vector<std::string> docs;
   uint64_t doc_bytes = 0;
@@ -190,7 +195,7 @@ void BM_SmallDocsE2E(benchmark::State& state) {
     }
   }
 
-  vitex::service::ServiceStats stats = service.stats();
+  vitex::ServiceStats stats = service.stats();
   state.SetBytesProcessed(state.iterations() * doc_bytes);
   state.counters["doc_bytes"] =
       static_cast<double>(doc_bytes) / kDocsPerIteration;
@@ -225,19 +230,21 @@ void BM_MetricsOverhead(benchmark::State& state) {
   constexpr int kDocsPerIteration = 8;
   constexpr int kItemsPerDoc = 256;
 
-  vitex::service::StreamServiceOptions options;
+  vitex::ServiceOptions options;
   options.shard_count = kShards;
   options.stream_count = kStreams;
   options.queue_capacity = 32;
   options.enable_tracing = tracing;
-  vitex::service::StreamService service(options);
+  vitex::Service service(options);
+  std::vector<vitex::Subscription> standing;  // dropping one unsubscribes
   for (int i = 0; i < kSubs; ++i) {
-    auto id = service.Subscribe("//item" + std::to_string(i) +
-                                "/val/text()");
-    if (!id.ok()) {
-      state.SkipWithError(id.status().ToString().c_str());
+    auto sub = service.Subscribe("//item" + std::to_string(i) +
+                                 "/val/text()");
+    if (!sub.ok()) {
+      state.SkipWithError(sub.status().ToString().c_str());
       return;
     }
+    standing.push_back(std::move(sub).value());
   }
   std::vector<std::string> docs;
   uint64_t doc_bytes = 0;
@@ -263,7 +270,7 @@ void BM_MetricsOverhead(benchmark::State& state) {
     }
   }
 
-  vitex::service::ServiceStats stats = service.stats();
+  vitex::ServiceStats stats = service.stats();
   state.SetBytesProcessed(state.iterations() * doc_bytes);
   state.counters["events_per_sec"] = benchmark::Counter(
       static_cast<double>(stats.events_replayed), benchmark::Counter::kIsRate);
@@ -291,27 +298,29 @@ BENCHMARK(BM_MetricsOverhead)
 // stream is live? Measures Subscribe+Unsubscribe round trips (validation,
 // shared-table compile, epoch-boundary install/remove).
 void BM_SubscriptionChurn(benchmark::State& state) {
-  vitex::service::StreamServiceOptions options;
+  vitex::ServiceOptions options;
   options.shard_count = 4;
-  vitex::service::StreamService service(options);
+  vitex::Service service(options);
+  std::vector<vitex::Subscription> standing;  // dropping one unsubscribes
   for (int i = 0; i < 64; ++i) {
-    auto id = service.Subscribe("//item" + std::to_string(i) + "/@id");
-    if (!id.ok()) {
-      state.SkipWithError(id.status().ToString().c_str());
+    auto sub = service.Subscribe("//item" + std::to_string(i) + "/@id");
+    if (!sub.ok()) {
+      state.SkipWithError(sub.status().ToString().c_str());
       return;
     }
+    standing.push_back(std::move(sub).value());
   }
   std::string doc = MakeFeedDoc(64, 64, 1);
   int churn_tag = 64;
   for (auto _ : state) {
-    auto id =
+    auto sub =
         service.Subscribe("//item" + std::to_string(churn_tag) + "/@id");
-    if (!id.ok()) {
-      state.SkipWithError(id.status().ToString().c_str());
+    if (!sub.ok()) {
+      state.SkipWithError(sub.status().ToString().c_str());
       return;
     }
     vitex::Status status = service.Publish(doc);
-    if (status.ok()) status = service.Unsubscribe(id.value());
+    if (status.ok()) status = sub->Unsubscribe();
     if (status.ok()) status = service.Flush();
     if (!status.ok()) {
       state.SkipWithError(status.ToString().c_str());

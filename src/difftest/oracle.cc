@@ -6,7 +6,7 @@
 #include <unordered_map>
 
 #include "baseline/dom_evaluator.h"
-#include "service/stream_service.h"
+#include "service/vitex.h"
 #include "twigm/engine.h"
 #include "twigm/multi_query.h"
 #include "twigm/result.h"
@@ -253,18 +253,20 @@ Result<std::vector<ResultSet>> Oracle::RunService(
     const std::vector<std::string>& decoys, const std::string& document,
     size_t shard_count, size_t stream_count) {
   if (stream_count < 1) stream_count = 1;
-  service::StreamServiceOptions options;
+  ServiceOptions options;
   options.shard_count = shard_count;
   options.stream_count = stream_count;
-  service::StreamService service(options);
-  std::vector<service::SubscriptionId> ids;
-  ids.reserve(queries.size());
+  Service service(options);
+  // Decoy handles are kept too: dropping one would unsubscribe it at once.
+  std::vector<Subscription> subs;
+  subs.reserve(queries.size() + decoys.size());
   for (const std::string& q : queries) {
-    VITEX_ASSIGN_OR_RETURN(service::SubscriptionId id, service.Subscribe(q));
-    ids.push_back(id);
+    VITEX_ASSIGN_OR_RETURN(Subscription sub, service.Subscribe(q));
+    subs.push_back(std::move(sub));
   }
   for (const std::string& d : decoys) {
-    VITEX_RETURN_IF_ERROR(service.Subscribe(d).status());
+    VITEX_ASSIGN_OR_RETURN(Subscription sub, service.Subscribe(d));
+    subs.push_back(std::move(sub));
   }
   // One copy per stream: every parser thread parses the document
   // concurrently and every shard merges stream_count lanes, so each query
@@ -276,9 +278,9 @@ Result<std::vector<ResultSet>> Oracle::RunService(
   VITEX_RETURN_IF_ERROR(service.Flush());
   std::vector<ResultSet> out;
   out.reserve(queries.size());
-  for (service::SubscriptionId id : ids) {
-    VITEX_ASSIGN_OR_RETURN(std::vector<service::Delivery> deliveries,
-                           service.Drain(id));
+  for (size_t i = 0; i < queries.size(); ++i) {
+    VITEX_ASSIGN_OR_RETURN(std::vector<Delivery> deliveries,
+                           subs[i].Drain());
     ResultSet set;
     set.reserve(deliveries.size());
     for (auto& d : deliveries) {

@@ -10,7 +10,7 @@
 //      fallbacks and central text coalescing are in play. Plan sharing is
 //      explicitly OFF: one private machine per query, pinning the
 //      pre-sharing execution path as a reference.
-//   4. service — service::StreamService end to end: per-stream parser
+//   4. service — vitex::Service end to end: per-stream parser
 //      threads (the document is published once on EACH of 1..max_streams
 //      streams, so concurrent parses and the epoch merge are in play) into
 //      an EventLog, replay across 1..max_shards shard threads, delivery

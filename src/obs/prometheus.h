@@ -9,7 +9,7 @@
 // stays strictly parseable while putting the latency headline on one
 // greppable line.
 //
-// The writer is deliberately independent of Registry: StreamService uses
+// The writer is deliberately independent of Registry: vitex::Service uses
 // it directly to expose snapshot-derived values (ServiceStats counters,
 // per-shard DispatchStats, queue watermarks) alongside the registry's
 // hot-path metrics in one /statsz payload.

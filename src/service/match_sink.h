@@ -1,19 +1,19 @@
-// The push-capable delivery surface of the pub/sub runtime (DESIGN.md
-// §13): how a standing subscription's solutions leave the service without
-// the consumer polling.
+// The delivery surface of the pub/sub runtime (DESIGN.md §13): how a
+// standing subscription's solutions leave the service. Every delivery goes
+// through one MatchSink per subscription; the two modes only differ in
+// whose sink it is:
 //
-// Two delivery modes, one Subscribe call:
+//   * kPull (default) — Service::Subscribe creates a stock sink that
+//     buffers every delivery (it never refuses) and is owned by the
+//     Subscription handle; the consumer collects with Subscription::Drain()
+//     at its own pace.
+//   * kPush — the caller provides the MatchSink and gets each delivery as
+//     soon as the owning shard emits it. Nothing is buffered service-side
+//     and nobody polls: with 100k subscriptions on the other side of a
+//     socket, the server would otherwise spend its life draining 99.9%
+//     empty queues.
 //
-//   * kPull — the service buffers deliveries in an internal thread-safe
-//     queue; the consumer collects them with Drain(id) at its own pace.
-//     This is the original (and default) mode; nothing about it changed.
-//   * kPush — the service hands each delivery to a caller-provided
-//     MatchSink as soon as the owning shard emits it. Nothing is buffered
-//     service-side and nobody polls: with 100k subscriptions on the other
-//     side of a socket, the server would otherwise spend its life draining
-//     99.9% empty queues.
-//
-// The push contract is deliberately narrow, because OnMatch runs on a
+// The sink contract is deliberately narrow, because OnMatch runs on a
 // shard thread in the middle of the match hot path:
 //
 //   * OnMatch must be fast and must NEVER block (no socket writes, no
@@ -34,9 +34,11 @@
 //     different shard threads; the sink synchronizes its own state.
 //   * The service holds a shared_ptr to the sink until the subscription's
 //     unsubscribe (or service stop) has been applied by the owning shard,
-//     so a sink is never destroyed under a running machine. After
-//     Unsubscribe(id) returns, no further OnMatch for that id will START,
-//     but a call already in flight may still complete.
+//     so a sink is never destroyed under a running machine. Unsubscribe is
+//     epoch-exact, not immediate: documents published before the
+//     Subscription::Unsubscribe() call are still delivered — OnMatch may
+//     start after the call returns — until the next Service::Flush()
+//     returns; no document published after it returns is delivered.
 
 #ifndef VITEX_SERVICE_MATCH_SINK_H_
 #define VITEX_SERVICE_MATCH_SINK_H_
@@ -45,7 +47,7 @@
 #include <memory>
 #include <string>
 
-namespace vitex::service {
+namespace vitex {
 
 /// Identifier of one standing subscription. Never reused.
 using SubscriptionId = uint64_t;
@@ -58,16 +60,17 @@ struct Delivery {
   uint64_t sequence = 0;
 };
 
-/// Consumer-side receiver for push-mode subscriptions. See the header
+/// Consumer-side receiver of a subscription's deliveries. See the header
 /// comment for the full threading and overflow contract.
 class MatchSink {
  public:
   virtual ~MatchSink() = default;
 
   /// One solution for subscription `id`. Runs on the owning shard's
-  /// thread; must be fast and must not block. Return false to refuse the
-  /// delivery (no room): the service drops it, counts it overflowed, and
-  /// calls OnOverflow.
+  /// thread; must be fast and must not block. `delivery` is only valid
+  /// for the duration of the call: copy what you keep. Return false to
+  /// refuse the delivery (no room): the service drops it, counts it
+  /// overflowed, and calls OnOverflow.
   virtual bool OnMatch(SubscriptionId id, const Delivery& delivery) = 0;
 
   /// A delivery for `id` was just refused by OnMatch and dropped.
@@ -77,12 +80,12 @@ class MatchSink {
 };
 
 enum class DeliveryMode : uint8_t {
-  kPull = 0,  ///< buffer internally; consumer calls Drain(id)
-  kPush = 1,  ///< deliver into a MatchSink; Drain(id) is an error
+  kPull = 0,  ///< buffer in a stock sink; consumer calls Drain()
+  kPush = 1,  ///< deliver into the caller's MatchSink; Drain() is an error
 };
 
 /// Per-subscription delivery configuration for
-/// StreamService::Subscribe(xpath, SinkOptions).
+/// Service::Subscribe(xpath, SinkOptions).
 struct SinkOptions {
   DeliveryMode mode = DeliveryMode::kPull;
   /// Required (non-null) when mode == kPush; must be null for kPull. The
@@ -90,6 +93,6 @@ struct SinkOptions {
   std::shared_ptr<MatchSink> sink;
 };
 
-}  // namespace vitex::service
+}  // namespace vitex
 
 #endif  // VITEX_SERVICE_MATCH_SINK_H_

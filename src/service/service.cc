@@ -1,67 +1,41 @@
 // lint: relaxed-ok(single-writer shard counters read by stats snapshots; cross-thread ordering is carried by the queue mutexes)
 
-#include "service/stream_service.h"
+#include "service/vitex.h"
 
 #include <algorithm>
 #include <cassert>
 #include <optional>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "common/mutex.h"
 #include "common/stopwatch.h"
 #include "obs/prometheus.h"
+#include "service/bounded_queue.h"
 #include "twigm/builder.h"
 #include "xml/sax_parser.h"
 
-namespace vitex::service {
+namespace vitex {
+
+using service::BoundedQueue;
+using service::BoundedQueueGroup;
 
 // ---------------------------------------------------------------------------
 // Internal types.
 // ---------------------------------------------------------------------------
 
-// Per-subscriber delivery adapter between the shard's machine and the
-// caller-facing delivery mode (match_sink.h). Pull mode: a thread-safe
-// result queue the subscriber drains on any thread. Push mode: each result
-// is forwarded to the caller's MatchSink right here on the shard thread —
-// nothing buffers service-side, and a refused delivery is dropped, counted
-// and reported through OnOverflow.
-class StreamService::SubscriberSink : public twigm::ResultHandler {
+// The stock pull-mode sink: buffers every delivery (never refuses) until
+// the owning Subscription handle drains it, on any thread.
+class Service::PullSink : public MatchSink {
  public:
-  SubscriberSink(SubscriptionId id, std::shared_ptr<MatchSink> push_sink,
-                 std::atomic<uint64_t>* delivered,
-                 std::atomic<uint64_t>* overflowed)
-      : id_(id),
-        push_sink_(std::move(push_sink)),
-        delivered_(delivered),
-        overflowed_(overflowed) {}
-
-  void OnResult(std::string_view fragment, uint64_t sequence) override {
-    if (push_sink_ != nullptr) {
-      // Push path, shard thread. OnMatch refusing (false) is the sink's
-      // bounded-buffer signal: the delivery is dropped, not retried —
-      // backpressure toward a slow consumer must never stall the shard
-      // (every other subscription on it would pay).
-      Delivery delivery{std::string(fragment), sequence};
-      if (push_sink_->OnMatch(id_, delivery)) {
-        delivered_->fetch_add(1, std::memory_order_relaxed);
-      } else {
-        // dropped_ needs no lock: OnResult calls for one subscription are
-        // serialized on its owning shard's thread (match_sink.h).
-        ++dropped_;
-        overflowed_->fetch_add(1, std::memory_order_relaxed);
-        push_sink_->OnOverflow(id_, dropped_);
-      }
-      return;
-    }
-    {
-      MutexLock lock(mu_);
-      pending_.push_back(Delivery{std::string(fragment), sequence});
-    }
-    delivered_->fetch_add(1, std::memory_order_relaxed);
+  bool OnMatch(SubscriptionId /*id*/, const Delivery& delivery) override {
+    MutexLock lock(mu_);
+    pending_.push_back(delivery);
+    return true;
   }
-
-  bool is_push() const { return push_sink_ != nullptr; }
+  void OnOverflow(SubscriptionId /*id*/, uint64_t /*dropped_total*/) override {
+  }
 
   std::vector<Delivery> Drain() {
     std::vector<Delivery> out;
@@ -76,18 +50,53 @@ class StreamService::SubscriberSink : public twigm::ResultHandler {
   }
 
  private:
-  const SubscriptionId id_;
-  const std::shared_ptr<MatchSink> push_sink_;  // null == pull mode
   Mutex mu_;
   std::vector<Delivery> pending_ GUARDED_BY(mu_);
+};
+
+// Per-subscriber adapter between the shard's machine and the
+// subscription's MatchSink: each result is handed to the sink right here
+// on the shard thread, and a refused delivery is dropped, counted and
+// reported through OnOverflow.
+class Service::SubscriberSink : public twigm::ResultHandler {
+ public:
+  SubscriberSink(SubscriptionId id, std::shared_ptr<MatchSink> sink,
+                 std::atomic<uint64_t>* delivered,
+                 std::atomic<uint64_t>* overflowed)
+      : id_(id),
+        sink_(std::move(sink)),
+        delivered_(delivered),
+        overflowed_(overflowed) {}
+
+  void OnResult(std::string_view fragment, uint64_t sequence) override {
+    // One reused Delivery: assigning keeps the fragment's capacity, so the
+    // hand-over allocates nothing. No lock: calls for one subscription are
+    // serialized on its shard's thread (match_sink.h).
+    scratch_.fragment.assign(fragment.data(), fragment.size());
+    scratch_.sequence = sequence;
+    // Refusal is the sink's bounded-buffer signal: the delivery is dropped,
+    // not retried — a slow consumer must never stall the shard.
+    if (sink_->OnMatch(id_, scratch_)) {
+      delivered_->fetch_add(1, std::memory_order_relaxed);
+    } else {
+      ++dropped_;
+      overflowed_->fetch_add(1, std::memory_order_relaxed);
+      sink_->OnOverflow(id_, dropped_);
+    }
+  }
+
+ private:
+  const SubscriptionId id_;
+  const std::shared_ptr<MatchSink> sink_;
   std::atomic<uint64_t>* delivered_;
   std::atomic<uint64_t>* overflowed_;
-  uint64_t dropped_ = 0;  // shard-thread only (see OnResult)
+  Delivery scratch_;      // shard-thread only (see OnResult)
+  uint64_t dropped_ = 0;  // shard-thread only
 };
 
 // Barrier token for Flush(): every shard decrements once it has processed
 // everything enqueued before the token.
-struct StreamService::FlushGate {
+struct Service::FlushGate {
   Mutex mu;
   CondVar cv;
   size_t remaining GUARDED_BY(mu) = 0;
@@ -97,7 +106,7 @@ struct StreamService::FlushGate {
 // through every stream queue into every shard lane. Only the shard that
 // ShardHandles() the op touches its payload, exactly once, when its
 // barrier completes — so the non-const members need no locking.
-struct StreamService::ControlOp {
+struct Service::ControlOp {
   enum class Kind { kSubscribe, kUnsubscribe, kFlush };
   Kind kind = Kind::kFlush;
   SubscriptionId subscription = 0;               // kSubscribe / kUnsubscribe
@@ -109,21 +118,21 @@ struct StreamService::ControlOp {
 // Stage-tracing context shared by one document's N shard replays: the
 // publish timestamp for the end-to-end histogram, and a countdown so the
 // LAST shard to finish records it (tracing only; null when off).
-struct StreamService::DocTrace {
+struct Service::DocTrace {
   int64_t publish_ns = 0;
   std::atomic<size_t> shards_remaining{0};
 };
 
 // What flows through a stream's ingest queue: a document to parse, or a
 // control marker to forward (in FIFO position) to every shard lane.
-struct StreamService::StreamItem {
+struct Service::StreamItem {
   std::string document;
   int64_t publish_ns = 0;         // stamped by Publish when tracing
   std::shared_ptr<ControlOp> op;  // non-null == marker
 };
 
 // What flows through a shard inbox lane.
-struct StreamService::ShardItem {
+struct Service::ShardItem {
   enum class Kind { kDocument, kMarker };
   Kind kind = Kind::kDocument;
   std::shared_ptr<const xml::EventLog> log;  // kDocument
@@ -135,7 +144,7 @@ struct StreamService::ShardItem {
 // One publisher stream: a bounded queue of raw documents (and control
 // markers) drained by this stream's parser thread. Counters are written by
 // that thread, read by stats().
-struct StreamService::Stream {
+struct Service::Stream {
   explicit Stream(size_t index_in, size_t queue_capacity)
       : index(index_in), queue(queue_capacity) {}
 
@@ -158,7 +167,7 @@ struct StreamService::Stream {
 // MultiQueryEngine whose machines are this shard's slice of the
 // subscription set. Everything below `inbox` is touched only by the shard
 // thread, except the atomics and the mutex-guarded dispatch snapshot.
-struct StreamService::Shard {
+struct Service::Shard {
   Shard(size_t index_in, size_t lanes, size_t lane_capacity,
         xml::SaxParserOptions sax_options)
       : index(index_in),
@@ -192,7 +201,7 @@ struct StreamService::Shard {
 // Construction / teardown.
 // ---------------------------------------------------------------------------
 
-StreamService::StreamService(StreamServiceOptions options)
+Service::Service(ServiceOptions options)
     : options_(std::move(options)), start_(std::chrono::steady_clock::now()) {
   size_t shard_count = std::max<size_t>(1, options_.shard_count);
   size_t stream_count = std::max<size_t>(1, options_.stream_count);
@@ -241,17 +250,17 @@ StreamService::StreamService(StreamServiceOptions options)
     symbols_.Freeze();
   }
   for (auto& shard : shards_) {
-    shard->thread = std::thread(&StreamService::ShardLoop, this, shard.get());
+    shard->thread = std::thread(&Service::ShardLoop, this, shard.get());
   }
   for (auto& stream : streams_) {
     stream->thread =
-        std::thread(&StreamService::StreamLoop, this, stream.get());
+        std::thread(&Service::StreamLoop, this, stream.get());
   }
 }
 
-StreamService::~StreamService() { (void)Stop(); }
+Service::~Service() { (void)Stop(); }
 
-Status StreamService::Stop() {
+Status Service::Stop() {
   // Serializes stops: a concurrent second caller blocks here until the
   // first caller has finished joining, so no caller (in particular the
   // destructor) can proceed while threads are still running.
@@ -272,12 +281,12 @@ Status StreamService::Stop() {
   return first_error_;
 }
 
-void StreamService::RecordError(const Status& status) {
+void Service::RecordError(const Status& status) {
   MutexLock lock(mu_);
   if (first_error_.ok()) first_error_ = status;
 }
 
-size_t StreamService::ShardOf(SubscriptionId id) const {
+size_t Service::ShardOf(SubscriptionId id) const {
   // splitmix64 finalizer: subscription ids are sequential, so mix before
   // taking the residue to spread consecutive subscribers across shards.
   uint64_t x = id;
@@ -289,7 +298,7 @@ size_t StreamService::ShardOf(SubscriptionId id) const {
   return static_cast<size_t>(x % shards_.size());
 }
 
-bool StreamService::ShardHandles(const Shard& shard,
+bool Service::ShardHandles(const Shard& shard,
                                  const ControlOp& op) const {
   // Flush barriers every shard; subscription changes barrier only the
   // shard that owns the subscription — other shards discard the marker.
@@ -301,7 +310,7 @@ bool StreamService::ShardHandles(const Shard& shard,
 // Caller-facing API.
 // ---------------------------------------------------------------------------
 
-bool StreamService::EmitControl(std::shared_ptr<ControlOp> op) {
+bool Service::EmitControl(std::shared_ptr<ControlOp> op) {
   // Push the marker into every stream queue while holding control_mu_ (the
   // caller does): concurrent control ops therefore appear in the SAME
   // relative order in every queue, which is what lets a shard treat "next
@@ -318,12 +327,8 @@ bool StreamService::EmitControl(std::shared_ptr<ControlOp> op) {
   return ok;
 }
 
-Result<SubscriptionId> StreamService::Subscribe(std::string_view xpath) {
-  return Subscribe(xpath, SinkOptions{});
-}
-
-Result<SubscriptionId> StreamService::Subscribe(std::string_view xpath,
-                                                SinkOptions options) {
+Result<Subscription> Service::Subscribe(std::string_view xpath,
+                                        SinkOptions options) {
   if (options.mode == DeliveryMode::kPush && options.sink == nullptr) {
     return Status::InvalidArgument(
         "push-mode subscription requires a MatchSink");
@@ -331,6 +336,11 @@ Result<SubscriptionId> StreamService::Subscribe(std::string_view xpath,
   if (options.mode == DeliveryMode::kPull && options.sink != nullptr) {
     return Status::InvalidArgument(
         "pull-mode subscription must not carry a MatchSink");
+  }
+  std::shared_ptr<PullSink> pull;
+  if (options.mode == DeliveryMode::kPull) {
+    pull = std::make_shared<PullSink>();
+    options.sink = pull;
   }
   MutexLock control_lock(control_mu_);
   {
@@ -357,10 +367,6 @@ Result<SubscriptionId> StreamService::Subscribe(std::string_view xpath,
   }
   VITEX_RETURN_IF_ERROR(built->status());
 
-  {
-    MutexLock lock(mu_);
-    subscriptions_[id] = sink;
-  }
   auto op = std::make_shared<ControlOp>();
   op->kind = ControlOp::Kind::kSubscribe;
   op->subscription = id;
@@ -368,22 +374,20 @@ Result<SubscriptionId> StreamService::Subscribe(std::string_view xpath,
       std::make_unique<twigm::BuiltMachine>(std::move(*built).value());
   op->sink = std::move(sink);
   if (!EmitControl(std::move(op))) {
-    MutexLock lock(mu_);
-    subscriptions_.erase(id);
     return Status::InvalidArgument("service is stopped");
   }
-  return id;
+  {
+    MutexLock lock(mu_);
+    ++active_subscriptions_;
+  }
+  return Subscription(this, id, std::move(pull));
 }
 
-Status StreamService::Unsubscribe(SubscriptionId id) {
+void Service::Unsubscribe(SubscriptionId id) {
   MutexLock control_lock(control_mu_);
   {
     MutexLock lock(mu_);
-    auto it = subscriptions_.find(id);
-    if (it == subscriptions_.end()) {
-      return Status::InvalidArgument("unknown subscription id");
-    }
-    subscriptions_.erase(it);
+    --active_subscriptions_;
   }
   auto op = std::make_shared<ControlOp>();
   op->kind = ControlOp::Kind::kUnsubscribe;
@@ -391,34 +395,16 @@ Status StreamService::Unsubscribe(SubscriptionId id) {
   // A failed emit means the service is stopping: teardown removes every
   // machine anyway, so the unsubscribe is already effectively applied.
   EmitControl(std::move(op));
-  return Status::OK();
 }
 
-Result<std::vector<Delivery>> StreamService::Drain(SubscriptionId id) {
-  std::shared_ptr<SubscriberSink> sink;
-  {
-    MutexLock lock(mu_);
-    auto it = subscriptions_.find(id);
-    if (it == subscriptions_.end()) {
-      return Status::InvalidArgument("unknown subscription id");
-    }
-    sink = it->second;
-  }
-  if (sink->is_push()) {
-    return Status::InvalidArgument(
-        "subscription is push-mode; deliveries go to its MatchSink");
-  }
-  return sink->Drain();
-}
-
-Status StreamService::Publish(std::string document) {
+Status Service::Publish(std::string document) {
   size_t stream = static_cast<size_t>(next_stream_.fetch_add(
                       1, std::memory_order_relaxed)) %
                   streams_.size();
   return PublishToStream(stream, std::move(document));
 }
 
-Status StreamService::PublishToStream(size_t stream, std::string document) {
+Status Service::PublishToStream(size_t stream, std::string document) {
   if (stream >= streams_.size()) {
     return Status::InvalidArgument("stream index out of range");
   }
@@ -434,7 +420,7 @@ Status StreamService::PublishToStream(size_t stream, std::string document) {
   return Status::OK();
 }
 
-Status StreamService::Flush() {
+Status Service::Flush() {
   auto gate = std::make_shared<FlushGate>();
   {
     MutexLock gate_lock(gate->mu);
@@ -462,7 +448,7 @@ Status StreamService::Flush() {
   return first_error_;
 }
 
-ServiceStats StreamService::stats() const {
+ServiceStats Service::stats() const {
   ServiceStats s;
   s.documents_published = documents_published_.load(std::memory_order_relaxed);
   s.documents_rejected = documents_rejected_.load(std::memory_order_relaxed);
@@ -471,7 +457,7 @@ ServiceStats StreamService::stats() const {
   s.results_overflowed = results_overflowed_.load(std::memory_order_relaxed);
   {
     MutexLock lock(mu_);
-    s.active_subscriptions = subscriptions_.size();
+    s.active_subscriptions = active_subscriptions_;
   }
   for (const auto& stream : streams_) {
     StreamStatsSnapshot snap;
@@ -526,7 +512,7 @@ ServiceStats StreamService::stats() const {
   return s;
 }
 
-std::string StreamService::StatszText() const {
+std::string Service::StatszText() const {
   // Snapshot-derived series first (ServiceStats counters, queue telemetry,
   // per-shard dispatch stats), then the registry's hot-path histograms.
   // Both halves share the serializer, so the payload is one consistent
@@ -685,7 +671,7 @@ std::string StreamService::StatszText() const {
 // shard; forward control markers in FIFO position.
 // ---------------------------------------------------------------------------
 
-void StreamService::StreamLoop(Stream* stream) {
+void Service::StreamLoop(Stream* stream) {
   xml::SaxParserOptions parse_options = options_.sax_options;
   parse_options.symbols = &symbols_;
   while (std::optional<StreamItem> item = stream->queue.Pop()) {
@@ -764,7 +750,7 @@ void StreamService::StreamLoop(Stream* stream) {
 // so no document published after the op's epoch is replayed before it.
 // ---------------------------------------------------------------------------
 
-void StreamService::ApplyControl(Shard* shard, ControlOp* op) {
+void Service::ApplyControl(Shard* shard, ControlOp* op) {
   twigm::MultiQueryEngine& engine = *shard->engine;
   switch (op->kind) {
     case ControlOp::Kind::kSubscribe: {
@@ -804,7 +790,7 @@ void StreamService::ApplyControl(Shard* shard, ControlOp* op) {
   }
 }
 
-void StreamService::ShardLoop(Shard* shard) {
+void Service::ShardLoop(Shard* shard) {
   const size_t lanes = streams_.size();
   // Per-lane pop counts (single consumer: these mirror the inbox's own
   // counts) and the active caps. limits[l] == popped[l] freezes lane l.
@@ -896,4 +882,41 @@ void StreamService::ShardLoop(Shard* shard) {
   }
 }
 
-}  // namespace vitex::service
+// ---------------------------------------------------------------------------
+// Subscription handles.
+// ---------------------------------------------------------------------------
+
+Subscription::Subscription(Service* service, SubscriptionId id,
+                           std::shared_ptr<Service::PullSink> pull)
+    : service_(service), id_(id), pull_(std::move(pull)) {}
+
+Subscription& Subscription::operator=(Subscription&& other) noexcept {
+  if (this != &other) {
+    (void)Unsubscribe();
+    service_ = other.service_;
+    id_ = other.id_;
+    pull_ = std::move(other.pull_);
+    other.service_ = nullptr;
+  }
+  return *this;
+}
+
+Result<std::vector<Delivery>> Subscription::Drain() {
+  if (service_ == nullptr) {
+    return Status::InvalidArgument("subscription handle is inactive");
+  }
+  if (pull_ == nullptr) {
+    return Status::InvalidArgument(
+        "subscription is push-mode; deliveries go to its MatchSink");
+  }
+  return pull_->Drain();
+}
+
+Status Subscription::Unsubscribe() {
+  if (service_ != nullptr) service_->Unsubscribe(id_);
+  service_ = nullptr;
+  pull_.reset();
+  return Status::OK();
+}
+
+}  // namespace vitex

@@ -594,7 +594,7 @@ Status MultiQueryEngine::Dispatcher::StartElement(
   // The engine's own parser always stamps (symbol or kAbsentSymbol).
   // Unstamped events only arrive from replayed logs recorded without our
   // table; resolve them here so dispatch matches the parse path. (Stamped
-  // replay — the StreamService path — never touches the table.)
+  // replay — the vitex::Service path — never touches the table.)
   Symbol symbol = event.symbol;
   if (symbol == kNoSymbol) symbol = owner_->symbols_->Lookup(event.name);
   open_symbols_.push_back(symbol);

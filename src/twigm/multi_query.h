@@ -204,7 +204,7 @@ class MultiQueryEngine {
 
   /// Runs one pre-parsed document: replays a recorded event stream into the
   /// registered queries, equivalent to RunString() on the original text but
-  /// with zero parse cost (parse-once fan-out: StreamService records each
+  /// with zero parse cost (parse-once fan-out: vitex::Service records each
   /// document once and replays it into every shard). The log's symbol
   /// stamps must come from a parse against this engine's symbols() table
   /// (or be unstamped). Must be called at a document boundary

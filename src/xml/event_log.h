@@ -7,7 +7,7 @@
 //     4.43 s split, taken one step further);
 //   * testing — a recorded stream replays bit-identically, so handler
 //     behaviour can be compared with and without a real parser in front;
-//   * parse-once fan-out — service::StreamService parses each published
+//   * parse-once fan-out — vitex::Service parses each published
 //     document into one EventLog on its ingest thread and replays it into
 //     every worker shard, so N shards cost one parse (DESIGN.md §5).
 //

@@ -1,15 +1,17 @@
 // Prometheus serializer golden test and the live /statsz exposition of a
-// running StreamService (the ISSUE 7 acceptance pin; the Statsz CI regex
+// running vitex::Service (the ISSUE 7 acceptance pin; the Statsz CI regex
 // picks this file up in the asan-ubsan and tsan jobs).
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
-#include "service/stream_service.h"
+#include "service/vitex.h"
 
 namespace vitex {
 namespace {
@@ -98,15 +100,17 @@ std::string FeedDoc(int items) {
 // Live acceptance: a traced service's /statsz payload carries the
 // pipeline counters, queue watermark gauges, and every per-stage latency
 // histogram with its quantile summary lines.
-TEST(ObsStatszTest, StreamServiceStatszCoversCountersQueuesAndStages) {
-  service::StreamServiceOptions options;
+TEST(ObsStatszTest, ServiceStatszCoversCountersQueuesAndStages) {
+  ServiceOptions options;
   options.shard_count = 2;
   options.stream_count = 2;
   options.queue_capacity = 4;
-  service::StreamService service(options);
+  Service service(options);
+  std::vector<Subscription> subs;
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(
-        service.Subscribe("//item" + std::to_string(i) + "/val/text()").ok());
+    auto sub = service.Subscribe("//item" + std::to_string(i) + "/val/text()");
+    ASSERT_TRUE(sub.ok());
+    subs.push_back(std::move(sub).value());
   }
   for (int d = 0; d < 24; ++d) {
     ASSERT_TRUE(service.Publish(FeedDoc(32)).ok());
@@ -151,11 +155,12 @@ TEST(ObsStatszTest, StreamServiceStatszCoversCountersQueuesAndStages) {
 }
 
 TEST(ObsStatszTest, TracingOffDropsStageSeriesButKeepsCounters) {
-  service::StreamServiceOptions options;
+  ServiceOptions options;
   options.shard_count = 1;
   options.enable_tracing = false;
-  service::StreamService service(options);
-  ASSERT_TRUE(service.Subscribe("//item0/val/text()").ok());
+  Service service(options);
+  auto sub = service.Subscribe("//item0/val/text()");
+  ASSERT_TRUE(sub.ok());
   ASSERT_TRUE(service.Publish(FeedDoc(8)).ok());
   ASSERT_TRUE(service.Flush().ok());
   std::string text = service.StatszText();
@@ -170,19 +175,19 @@ TEST(ObsStatszTest, TracingOffDropsStageSeriesButKeepsCounters) {
 // never a division by near-zero. (Either the floor held the rate at 0, or
 // enough wall time passed that the rate is finite and sane.)
 TEST(ObsStatszTest, RatesRespectMinimumUptimeFloor) {
-  service::StreamServiceOptions options;
+  ServiceOptions options;
   options.shard_count = 1;
-  service::StreamService service(options);
+  Service service(options);
   ASSERT_TRUE(service.Publish("<a><b>x</b></a>").ok());
   ASSERT_TRUE(service.Flush().ok());
-  service::ServiceStats stats = service.stats();
+  ServiceStats stats = service.stats();
   ASSERT_EQ(stats.documents_processed, 1u);
-  if (stats.uptime_seconds < service::StreamService::kMinRateUptimeSeconds) {
+  if (stats.uptime_seconds < Service::kMinRateUptimeSeconds) {
     EXPECT_EQ(stats.docs_per_sec, 0.0);
     EXPECT_EQ(stats.events_per_sec, 0.0);
   } else {
     EXPECT_LE(stats.docs_per_sec,
-              1.0 / service::StreamService::kMinRateUptimeSeconds);
+              1.0 / Service::kMinRateUptimeSeconds);
   }
 }
 

@@ -3,8 +3,9 @@
 // to a MatchSink on shard threads instead of buffering for Drain. These
 // tests pin the contract net/server.cc is built on: per-subscription
 // delivery order, the OnMatch-refusal/OnOverflow accounting, Drain being
-// an error on push subscriptions, and the sink staying alive (no
-// OnMatch on a dead object) across the ASYNC unsubscribe window.
+// an error on push subscriptions, the epoch-exact unsubscribe cut, and the
+// sink staying alive (no OnMatch on a dead object) across the ASYNC
+// unsubscribe window.
 
 #include "service/match_sink.h"
 
@@ -20,12 +21,6 @@
 
 namespace vitex {
 namespace {
-
-using service::Delivery;
-using service::DeliveryMode;
-using service::MatchSink;
-using service::SinkOptions;
-using service::SubscriptionId;
 
 // Records every OnMatch/OnOverflow; can be told to refuse deliveries.
 class RecordingSink : public MatchSink {
@@ -184,6 +179,40 @@ TEST(ServicePushSinkTest, SinkOutlivesTheAsyncUnsubscribeWindow) {
   // Once flushed, the markers applied and the service released the sink.
   ASSERT_TRUE(service.Stop().ok());
   EXPECT_TRUE(watch.expired());
+}
+
+TEST(ServicePushSinkTest, UnsubscribeCutsAllStreamsAtOneEpoch) {
+  // Unsubscribe is epoch-exact, not immediate: every document published
+  // before the call is still delivered (OnMatch may well start after it
+  // returns), and none published after it returns is — across all four
+  // streams at once.
+  ServiceOptions options;
+  options.shard_count = 2;
+  options.stream_count = 4;
+  Service service(options);
+  auto sink = std::make_shared<RecordingSink>();
+  SinkOptions push;
+  push.mode = DeliveryMode::kPush;
+  push.sink = sink;
+  auto sub = service.Subscribe("//item/text()", push);
+  ASSERT_TRUE(sub.ok());
+
+  for (int d = 0; d < 200; ++d) {
+    ASSERT_TRUE(service.Publish("<r><item>x</item></r>").ok());
+  }
+  ASSERT_TRUE(sub->Unsubscribe().ok());
+  for (int d = 0; d < 50; ++d) {
+    ASSERT_TRUE(service.Publish("<r><item>y</item></r>").ok());
+  }
+  ASSERT_TRUE(service.Flush().ok());
+
+  std::vector<std::string> got = sink->fragments();
+  EXPECT_EQ(got.size(), 200u);
+  for (const std::string& fragment : got) {
+    EXPECT_EQ(fragment, "x") << "delivered a post-unsubscribe document";
+  }
+  EXPECT_EQ(service.stats().results_delivered, 200u);
+  EXPECT_EQ(service.stats().active_subscriptions, 0u);
 }
 
 TEST(ServicePushSinkTest, PushAndPullSubscriptionsCoexist) {

@@ -1,4 +1,4 @@
-#include "service/stream_service.h"
+#include "service/vitex.h"
 
 #include <gtest/gtest.h>
 
@@ -6,12 +6,13 @@
 #include <atomic>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "twigm/multi_query.h"
 
-namespace vitex::service {
+namespace vitex {
 namespace {
 
 // A small news-wire document cycling over `tags` distinct item tags.
@@ -36,7 +37,7 @@ std::vector<std::string> SortedFragments(std::vector<Delivery> deliveries) {
   return out;
 }
 
-TEST(StreamServiceTest, DeliveriesMatchDirectEngine) {
+TEST(ServiceTest, DeliveriesMatchDirectEngine) {
   const std::vector<std::string> queries = {
       "//item0/val/text()", "//item1/@id", "//item2[val]/val/text()",
       "//*/val/text()",     "//feed//item3"};
@@ -55,21 +56,21 @@ TEST(StreamServiceTest, DeliveriesMatchDirectEngine) {
   }
 
   for (size_t shard_count : {1, 2, 4}) {
-    StreamServiceOptions options;
+    ServiceOptions options;
     options.shard_count = shard_count;
-    StreamService service(options);
-    std::vector<SubscriptionId> subs;
+    Service service(options);
+    std::vector<Subscription> subs;
     for (const std::string& q : queries) {
       auto id = service.Subscribe(q);
       ASSERT_TRUE(id.ok()) << q << ": " << id.status();
-      subs.push_back(id.value());
+      subs.push_back(std::move(id).value());
     }
     for (const std::string& doc : docs) {
       ASSERT_TRUE(service.Publish(doc).ok());
     }
     ASSERT_TRUE(service.Flush().ok());
     for (size_t q = 0; q < queries.size(); ++q) {
-      auto drained = service.Drain(subs[q]);
+      auto drained = subs[q].Drain();
       ASSERT_TRUE(drained.ok());
       std::vector<std::string> want;
       for (const auto& e : expected[q].results()) want.push_back(e.fragment);
@@ -81,10 +82,10 @@ TEST(StreamServiceTest, DeliveriesMatchDirectEngine) {
   }
 }
 
-TEST(StreamServiceTest, SubscribeAppliesAtDocumentBoundary) {
-  StreamServiceOptions options;
+TEST(ServiceTest, SubscribeAppliesAtDocumentBoundary) {
+  ServiceOptions options;
   options.shard_count = 2;
-  StreamService service(options);
+  Service service(options);
   ASSERT_TRUE(service.Publish(MakeDoc(2, 4, 0)).ok());
   ASSERT_TRUE(service.Flush().ok());
 
@@ -94,7 +95,7 @@ TEST(StreamServiceTest, SubscribeAppliesAtDocumentBoundary) {
   ASSERT_TRUE(service.Publish(MakeDoc(2, 4, 7)).ok());
   ASSERT_TRUE(service.Flush().ok());
 
-  auto drained = service.Drain(late.value());
+  auto drained = late->Drain();
   ASSERT_TRUE(drained.ok());
   ASSERT_FALSE(drained->empty());
   for (const Delivery& d : drained.value()) {
@@ -104,33 +105,35 @@ TEST(StreamServiceTest, SubscribeAppliesAtDocumentBoundary) {
   }
 }
 
-TEST(StreamServiceTest, UnsubscribeStopsDeliveriesAndInvalidatesId) {
-  StreamService service;
+TEST(ServiceTest, UnsubscribeStopsDeliveriesAndInvalidatesId) {
+  Service service;
   auto id = service.Subscribe("//item0/val/text()");
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE(service.Publish(MakeDoc(1, 3, 0)).ok());
   ASSERT_TRUE(service.Flush().ok());
-  auto first = service.Drain(id.value());
+  auto first = id->Drain();
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first->size(), 3u);
 
-  ASSERT_TRUE(service.Unsubscribe(id.value()).ok());
-  EXPECT_TRUE(service.Drain(id.value()).status().IsInvalidArgument());
-  EXPECT_TRUE(service.Unsubscribe(id.value()).IsInvalidArgument());
+  ASSERT_TRUE(id->Unsubscribe().ok());
+  EXPECT_TRUE(id->Drain().status().IsInvalidArgument());
+  // Handles are the only way to end a subscription: a second Unsubscribe
+  // on the same handle is an idempotent no-op.
+  EXPECT_TRUE(id->Unsubscribe().ok());
   ASSERT_TRUE(service.Publish(MakeDoc(1, 3, 1)).ok());
   EXPECT_TRUE(service.Flush().ok());  // machine is gone; nothing crashes
 }
 
-TEST(StreamServiceTest, InvalidQueryRejectedSynchronously) {
-  StreamService service;
+TEST(ServiceTest, InvalidQueryRejectedSynchronously) {
+  Service service;
   EXPECT_FALSE(service.Subscribe("][not-xpath").ok());
   EXPECT_FALSE(service.Subscribe("//a[").ok());
   EXPECT_FALSE(service.Subscribe("//a | //b").ok());
   EXPECT_EQ(service.stats().active_subscriptions, 0u);
 }
 
-TEST(StreamServiceTest, MalformedDocumentRejectedNotFatal) {
-  StreamService service;
+TEST(ServiceTest, MalformedDocumentRejectedNotFatal) {
+  Service service;
   auto id = service.Subscribe("//a/text()");
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE(service.Publish("<a>unclosed").ok());   // accepted async...
@@ -139,17 +142,17 @@ TEST(StreamServiceTest, MalformedDocumentRejectedNotFatal) {
   ServiceStats stats = service.stats();
   EXPECT_EQ(stats.documents_rejected, 1u);
   EXPECT_EQ(stats.documents_processed, 1u);
-  auto drained = service.Drain(id.value());
+  auto drained = id->Drain();
   ASSERT_TRUE(drained.ok());
   ASSERT_EQ(drained->size(), 1u);
   EXPECT_EQ(drained->front().fragment, "good");
 }
 
-TEST(StreamServiceTest, BackpressureWithTinyQueues) {
-  StreamServiceOptions options;
+TEST(ServiceTest, BackpressureWithTinyQueues) {
+  ServiceOptions options;
   options.shard_count = 3;
   options.queue_capacity = 1;  // every hop backpressures
-  StreamService service(options);
+  Service service(options);
   auto id = service.Subscribe("//item0/val/text()");
   ASSERT_TRUE(id.ok());
   constexpr int kDocs = 50;
@@ -166,11 +169,11 @@ TEST(StreamServiceTest, BackpressureWithTinyQueues) {
 // The TSAN acceptance scenario: subscriptions churn on several threads
 // while documents are being fed. The stable subscriber (installed before
 // any publish) must still see every matching document exactly once.
-TEST(StreamServiceTest, ConcurrentSubscribeUnsubscribeWhilePublishing) {
-  StreamServiceOptions options;
+TEST(ServiceTest, ConcurrentSubscribeUnsubscribeWhilePublishing) {
+  ServiceOptions options;
   options.shard_count = 4;
   options.queue_capacity = 8;
-  StreamService service(options);
+  Service service(options);
 
   auto stable = service.Subscribe("//item0/val/text()");
   ASSERT_TRUE(stable.ok());
@@ -203,8 +206,8 @@ TEST(StreamServiceTest, ConcurrentSubscribeUnsubscribeWhilePublishing) {
                                     "[val]/@id");
         ASSERT_TRUE(id.ok());
         ++made;
-        (void)service.Drain(id.value());
-        ASSERT_TRUE(service.Unsubscribe(id.value()).ok());
+        (void)id->Drain();
+        ASSERT_TRUE(id->Unsubscribe().ok());
       }
     });
   }
@@ -212,7 +215,7 @@ TEST(StreamServiceTest, ConcurrentSubscribeUnsubscribeWhilePublishing) {
   for (auto& t : churners) t.join();
   ASSERT_TRUE(service.Flush().ok());
 
-  auto drained = service.Drain(stable.value());
+  auto drained = stable->Drain();
   ASSERT_TRUE(drained.ok());
   EXPECT_EQ(drained->size(), expected);
   ServiceStats stats = service.stats();
@@ -221,10 +224,10 @@ TEST(StreamServiceTest, ConcurrentSubscribeUnsubscribeWhilePublishing) {
   EXPECT_TRUE(service.Stop().ok());
 }
 
-TEST(StreamServiceTest, StatsReportScalePerShard) {
-  StreamServiceOptions options;
+TEST(ServiceTest, StatsReportScalePerShard) {
+  ServiceOptions options;
   options.shard_count = 2;
-  StreamService service(options);
+  Service service(options);
   auto a = service.Subscribe("//item0");
   auto b = service.Subscribe("//item1/val/text()");
   ASSERT_TRUE(a.ok());
@@ -258,7 +261,7 @@ TEST(StreamServiceTest, StatsReportScalePerShard) {
 // Survivors must deliver byte-what a fresh engine with only the survivors
 // delivers — i.e. subscribe/unsubscribe churn keeps every shard's plan
 // cache (group masks, bindings, refcounts) incrementally correct.
-TEST(StreamServiceTest, SharedSkeletonSubscriptionChurn) {
+TEST(ServiceTest, SharedSkeletonSubscriptionChurn) {
   auto skeleton_query = [](int skeleton, int literal) {
     std::string lit = "'w" + std::to_string(literal) + "'";
     switch (skeleton) {
@@ -284,12 +287,12 @@ TEST(StreamServiceTest, SharedSkeletonSubscriptionChurn) {
 
   vitex::Random rng(77);
   for (size_t shard_count : {1, 3}) {
-    StreamServiceOptions options;
+    ServiceOptions options;
     options.shard_count = shard_count;
-    StreamService service(options);
+    Service service(options);
 
     struct Sub {
-      SubscriptionId id;
+      Subscription handle;
       std::string query;
       bool live = true;
     };
@@ -299,14 +302,14 @@ TEST(StreamServiceTest, SharedSkeletonSubscriptionChurn) {
         std::string q = skeleton_query(k, j);
         auto id = service.Subscribe(q);
         ASSERT_TRUE(id.ok()) << q;
-        subs.push_back(Sub{id.value(), q, true});
+        subs.push_back(Sub{std::move(id).value(), q, true});
       }
     }
 
     // Epoch 1: a document everyone sees; drain it away.
     ASSERT_TRUE(service.Publish(make_doc(0)).ok());
     ASSERT_TRUE(service.Flush().ok());
-    for (Sub& s : subs) ASSERT_TRUE(service.Drain(s.id).ok());
+    for (Sub& s : subs) ASSERT_TRUE(s.handle.Drain().ok());
 
     // Every shard hash-conses its partition: 18 subscriptions over 3
     // skeletons run on at most 3 plan machines per shard.
@@ -319,7 +322,7 @@ TEST(StreamServiceTest, SharedSkeletonSubscriptionChurn) {
     // the surviving plans.
     for (Sub& s : subs) {
       if (rng.OneIn(0.4)) {
-        ASSERT_TRUE(service.Unsubscribe(s.id).ok());
+        ASSERT_TRUE(s.handle.Unsubscribe().ok());
         s.live = false;
       }
     }
@@ -327,7 +330,7 @@ TEST(StreamServiceTest, SharedSkeletonSubscriptionChurn) {
       std::string q = skeleton_query(j % 3, j);
       auto id = service.Subscribe(q);
       ASSERT_TRUE(id.ok()) << q;
-      subs.push_back(Sub{id.value(), q, true});
+      subs.push_back(Sub{std::move(id).value(), q, true});
     }
 
     // Epoch 2: only survivors + latecomers see this document.
@@ -346,11 +349,11 @@ TEST(StreamServiceTest, SharedSkeletonSubscriptionChurn) {
 
     for (size_t i = 0; i < subs.size(); ++i) {
       if (!subs[i].live) {
-        EXPECT_FALSE(service.Drain(subs[i].id).ok())
+        EXPECT_FALSE(subs[i].handle.Drain().ok())
             << "unsubscribed id still drains: " << subs[i].query;
         continue;
       }
-      auto drained = service.Drain(subs[i].id);
+      auto drained = subs[i].handle.Drain();
       ASSERT_TRUE(drained.ok());
       std::vector<std::string> want;
       for (const auto& e : expected[i].results()) want.push_back(e.fragment);
@@ -366,7 +369,7 @@ TEST(StreamServiceTest, SharedSkeletonSubscriptionChurn) {
 // Multi-stream ingest (DESIGN.md §9).
 // -------------------------------------------------------------------------
 
-TEST(StreamServiceTest, MultiStreamDeliveriesMatchDirectEngine) {
+TEST(ServiceTest, MultiStreamDeliveriesMatchDirectEngine) {
   const std::vector<std::string> queries = {
       "//item0/val/text()", "//item1/@id", "//item2[val]/val/text()",
       "//*/val/text()",     "//feed//item3"};
@@ -385,23 +388,23 @@ TEST(StreamServiceTest, MultiStreamDeliveriesMatchDirectEngine) {
 
   for (size_t stream_count : {1, 2, 4}) {
     for (size_t shard_count : {1, 3}) {
-      StreamServiceOptions options;
+      ServiceOptions options;
       options.shard_count = shard_count;
       options.stream_count = stream_count;
-      StreamService service(options);
+      Service service(options);
       ASSERT_EQ(service.stream_count(), stream_count);
-      std::vector<SubscriptionId> subs;
+      std::vector<Subscription> subs;
       for (const std::string& q : queries) {
         auto id = service.Subscribe(q);
         ASSERT_TRUE(id.ok()) << q << ": " << id.status();
-        subs.push_back(id.value());
+        subs.push_back(std::move(id).value());
       }
       for (const std::string& doc : docs) {
         ASSERT_TRUE(service.Publish(doc).ok());  // round-robin over streams
       }
       ASSERT_TRUE(service.Flush().ok());
       for (size_t q = 0; q < queries.size(); ++q) {
-        auto drained = service.Drain(subs[q]);
+        auto drained = subs[q].Drain();
         ASSERT_TRUE(drained.ok());
         std::vector<std::string> want;
         for (const auto& e : expected[q].results()) {
@@ -417,10 +420,10 @@ TEST(StreamServiceTest, MultiStreamDeliveriesMatchDirectEngine) {
   }
 }
 
-TEST(StreamServiceTest, PublishToStreamValidatesIndex) {
-  StreamServiceOptions options;
+TEST(ServiceTest, PublishToStreamValidatesIndex) {
+  ServiceOptions options;
   options.stream_count = 2;
-  StreamService service(options);
+  Service service(options);
   EXPECT_TRUE(service.PublishToStream(1, "<a/>").ok());
   EXPECT_TRUE(
       service.PublishToStream(2, "<a/>").IsInvalidArgument());
@@ -428,12 +431,12 @@ TEST(StreamServiceTest, PublishToStreamValidatesIndex) {
 
 // Within one stream, deliveries preserve publish order even while another
 // stream interleaves its own documents arbitrarily.
-TEST(StreamServiceTest, PerStreamOrderIsPreserved) {
-  StreamServiceOptions options;
+TEST(ServiceTest, PerStreamOrderIsPreserved) {
+  ServiceOptions options;
   options.shard_count = 2;
   options.stream_count = 2;
   options.queue_capacity = 4;
-  StreamService service(options);
+  Service service(options);
   auto id = service.Subscribe("//doc/text()");
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE(service.Flush().ok());
@@ -452,7 +455,7 @@ TEST(StreamServiceTest, PerStreamOrderIsPreserved) {
   for (auto& t : publishers) t.join();
   ASSERT_TRUE(service.Flush().ok());
 
-  auto drained = service.Drain(id.value());
+  auto drained = id->Drain();
   ASSERT_TRUE(drained.ok());
   ASSERT_EQ(drained->size(), 2u * kPerStream);
   // Filter the delivery sequence per stream: each must be 0,1,2,... even
@@ -474,11 +477,11 @@ TEST(StreamServiceTest, PerStreamOrderIsPreserved) {
 // document whose Publish RETURNED before Subscribe was called is invisible
 // to the subscription; every document published after Subscribe RETURNED is
 // seen. (The markers must cut all four stream queues consistently.)
-TEST(StreamServiceTest, SubscribeCutsAllStreamsAtOneEpoch) {
-  StreamServiceOptions options;
+TEST(ServiceTest, SubscribeCutsAllStreamsAtOneEpoch) {
+  ServiceOptions options;
   options.shard_count = 2;
   options.stream_count = 4;
-  StreamService service(options);
+  Service service(options);
 
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(service.Publish("<doc><pre>p" + std::to_string(i) +
@@ -494,7 +497,7 @@ TEST(StreamServiceTest, SubscribeCutsAllStreamsAtOneEpoch) {
   }
   ASSERT_TRUE(service.Flush().ok());
 
-  auto drained = service.Drain(late.value());
+  auto drained = late->Drain();
   ASSERT_TRUE(drained.ok());
   EXPECT_EQ(drained->size(), 20u);  // all post-subscribe documents...
   for (const Delivery& d : drained.value()) {
@@ -505,11 +508,11 @@ TEST(StreamServiceTest, SubscribeCutsAllStreamsAtOneEpoch) {
 
 // A malformed document on one stream must not desynchronize the epoch
 // merge: markers are positions in the queue, not document counts.
-TEST(StreamServiceTest, RejectedDocumentDoesNotWedgeTheEpochMerge) {
-  StreamServiceOptions options;
+TEST(ServiceTest, RejectedDocumentDoesNotWedgeTheEpochMerge) {
+  ServiceOptions options;
   options.shard_count = 2;
   options.stream_count = 3;
-  StreamService service(options);
+  Service service(options);
   ASSERT_TRUE(service.PublishToStream(0, "<broken><nope").ok());
   ASSERT_TRUE(service.PublishToStream(1, "<a>first</a>").ok());
   auto id = service.Subscribe("//a/text()");
@@ -518,7 +521,7 @@ TEST(StreamServiceTest, RejectedDocumentDoesNotWedgeTheEpochMerge) {
   ASSERT_TRUE(service.PublishToStream(2, "<broken too").ok());
   ASSERT_TRUE(service.PublishToStream(2, "<a>third</a>").ok());
   ASSERT_TRUE(service.Flush().ok());
-  auto drained = service.Drain(id.value());
+  auto drained = id->Drain();
   ASSERT_TRUE(drained.ok());
   EXPECT_EQ(SortedFragments(std::move(drained).value()),
             (std::vector<std::string>{"second", "third"}));
@@ -527,11 +530,11 @@ TEST(StreamServiceTest, RejectedDocumentDoesNotWedgeTheEpochMerge) {
   EXPECT_EQ(stats.documents_processed, 3u);
 }
 
-TEST(StreamServiceTest, PerStreamStatsGauges) {
-  StreamServiceOptions options;
+TEST(ServiceTest, PerStreamStatsGauges) {
+  ServiceOptions options;
   options.shard_count = 2;
   options.stream_count = 3;
-  StreamService service(options);
+  Service service(options);
   ASSERT_TRUE(service.PublishToStream(0, MakeDoc(2, 4, 0)).ok());
   ASSERT_TRUE(service.PublishToStream(0, MakeDoc(2, 4, 1)).ok());
   ASSERT_TRUE(service.PublishToStream(2, "<oops").ok());
@@ -557,13 +560,13 @@ TEST(StreamServiceTest, PerStreamStatsGauges) {
 // concurrently while subscriptions churn from other threads. The stable
 // subscriber must see every matching document exactly once; the churners
 // exercise the freeze/unfreeze + barrier machinery mid-traffic.
-TEST(StreamServiceTest, ConcurrentMultiStreamPublishWithChurn) {
+TEST(ServiceTest, ConcurrentMultiStreamPublishWithChurn) {
   constexpr size_t kStreams = 4;
-  StreamServiceOptions options;
+  ServiceOptions options;
   options.shard_count = 3;
   options.stream_count = kStreams;
   options.queue_capacity = 8;
-  StreamService service(options);
+  Service service(options);
 
   auto stable = service.Subscribe("//item0/val/text()");
   ASSERT_TRUE(stable.ok());
@@ -601,15 +604,15 @@ TEST(StreamServiceTest, ConcurrentMultiStreamPublishWithChurn) {
                                     "[val]/@id");
         ASSERT_TRUE(id.ok());
         ++made;
-        (void)service.Drain(id.value());
-        ASSERT_TRUE(service.Unsubscribe(id.value()).ok());
+        (void)id->Drain();
+        ASSERT_TRUE(id->Unsubscribe().ok());
       }
     });
   }
   for (auto& t : threads) t.join();
   ASSERT_TRUE(service.Flush().ok());
 
-  auto drained = service.Drain(stable.value());
+  auto drained = stable->Drain();
   ASSERT_TRUE(drained.ok());
   EXPECT_EQ(drained->size(), expected);
   ServiceStats stats = service.stats();
@@ -619,8 +622,8 @@ TEST(StreamServiceTest, ConcurrentMultiStreamPublishWithChurn) {
   EXPECT_TRUE(service.Stop().ok());
 }
 
-TEST(StreamServiceTest, StopIsIdempotentAndDrainSurvivesIt) {
-  StreamService service;
+TEST(ServiceTest, StopIsIdempotentAndDrainSurvivesIt) {
+  Service service;
   auto id = service.Subscribe("//a/text()");
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE(service.Publish("<a>x</a>").ok());
@@ -628,11 +631,11 @@ TEST(StreamServiceTest, StopIsIdempotentAndDrainSurvivesIt) {
   EXPECT_TRUE(service.Stop().ok());   // idempotent
   EXPECT_FALSE(service.Publish("<a>y</a>").ok());
   EXPECT_FALSE(service.Subscribe("//b").ok());
-  auto drained = service.Drain(id.value());
+  auto drained = id->Drain();
   ASSERT_TRUE(drained.ok());  // results from before the stop are kept
   ASSERT_EQ(drained->size(), 1u);
   EXPECT_EQ(drained->front().fragment, "x");
 }
 
 }  // namespace
-}  // namespace vitex::service
+}  // namespace vitex

@@ -193,7 +193,7 @@ class ResetOkTest(FixtureTest):
         self.write(
             "src/twigm/engine.h",
             "void Shutdown() {\n"
-            "  seen_.clear();  // lint: reset-ok(engine teardown, not a "
+            "  slots_.clear();  // lint: reset-ok(engine teardown, not a "
             "document reset)\n"
             "}\n",
         )

@@ -1,7 +1,7 @@
 // Allocation-counting harness for the versioned-memory hot path
 // (DESIGN.md §12): after a few warmup documents have grown every pool to
 // its steady-state high-water mark, replaying further documents through
-// MultiQueryEngine::RunEvents — the exact path StreamService shards drive —
+// MultiQueryEngine::RunEvents — the exact path vitex::Service shards drive —
 // must perform ZERO heap allocations, on both the shared-plan and
 // private-machine configurations.
 //
@@ -199,7 +199,7 @@ void ExpectZeroAllocSteadyState(const std::string& doc,
     ASSERT_TRUE(id.ok()) << q << ": " << id.status().message();
   }
 
-  // Record once with the engine's symbol table, as StreamService does, so
+  // Record once with the engine's symbol table, as vitex::Service does, so
   // replay dispatches on pre-stamped symbols.
   xml::SaxParserOptions record_options;
   record_options.symbols = engine.symbols();

@@ -1,6 +1,6 @@
 // difftest_main: long-running differential fuzzer over the five evaluation
 // routes (DomEvaluator ground truth, TwigMachine, per-query
-// MultiQueryEngine with decoys, StreamService replay across 1-4 shards ×
+// MultiQueryEngine with decoys, vitex::Service replay across 1-4 shards ×
 // 1-4 publisher streams (one published copy per stream), and the
 // shared-plan MultiQueryEngine). Odd iterations draw SharedSkeletonBatch
 // query families — literal/tag variants of one template — so the plan cache

@@ -21,7 +21,7 @@ clean and passes every test on the machine that broke it:
                       vitex_build_type=Release; comparing a Release run
                       against a Debug baseline silently passes any gate.
   reset-ok            generation-stamped pools in src/twigm/ (slots_,
-                      free_list_, recordings_, seen_, per-node stacks —
+                      free_list_, recordings_, per-node stacks —
                       DESIGN.md §12) must never be .clear()ed: document
                       reset is a generation bump, and a clear() both
                       reintroduces a per-document O(n) walk and discards
@@ -255,7 +255,7 @@ RESET_WAIVER = re.compile(r"//\s*lint:\s*reset-ok\([^)\n]+\)")
 # MachineNode per-node entry stacks (`node.stack`), whose live prefix is
 # tracked by stack_size/stack_gen rather than the vector's own size.
 STAMPED_CLEAR = re.compile(
-    r"\b(?:slots_|free_list_|recordings_|seen_|stack)\s*\.\s*clear\s*\("
+    r"\b(?:slots_|free_list_|recordings_|stack)\s*\.\s*clear\s*\("
 )
 
 

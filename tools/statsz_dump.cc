@@ -1,4 +1,4 @@
-// statsz_dump: run a small pub/sub workload through StreamService and
+// statsz_dump: run a small pub/sub workload through vitex::Service and
 // print the /statsz payload (Prometheus text exposition, DESIGN.md §10)
 // to stdout — the quickest way to eyeball the pipeline's counters, queue
 // watermarks, and per-stage latency distributions, and the CI smoke check
@@ -15,9 +15,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "service/stream_service.h"
+#include "service/vitex.h"
 
 namespace {
 
@@ -166,20 +167,22 @@ int main(int argc, char** argv) {
     }
   }
 
-  vitex::service::StreamServiceOptions options;
+  vitex::ServiceOptions options;
   options.shard_count = shards;
   options.stream_count = streams;
   options.queue_capacity = 8;  // small on purpose: show real backpressure
   options.enable_tracing = tracing;
-  vitex::service::StreamService service(options);
+  vitex::Service service(options);
+  std::vector<vitex::Subscription> handles;  // dropping one unsubscribes
   for (int i = 0; i < subs; ++i) {
-    auto id =
+    auto sub =
         service.Subscribe("//item" + std::to_string(i) + "/val/text()");
-    if (!id.ok()) {
+    if (!sub.ok()) {
       std::fprintf(stderr, "subscribe: %s\n",
-                   id.status().ToString().c_str());
+                   sub.status().ToString().c_str());
       return 1;
     }
+    handles.push_back(std::move(sub).value());
   }
   for (int d = 0; d < documents; ++d) {
     if (d == documents / 2) {
