@@ -26,11 +26,4 @@ const CpuFeatures& GetCpuFeatures() {
   return features;
 }
 
-std::string DescribeCpuFeatures() {
-  const CpuFeatures& f = GetCpuFeatures();
-  if (f.avx2) return "avx2+sse2";
-  if (f.sse2) return "sse2";
-  return "none";
-}
-
 }  // namespace vitex::common

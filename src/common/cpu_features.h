@@ -8,8 +8,6 @@
 #ifndef VITEX_COMMON_CPU_FEATURES_H_
 #define VITEX_COMMON_CPU_FEATURES_H_
 
-#include <string>
-
 namespace vitex::common {
 
 struct CpuFeatures {
@@ -20,9 +18,6 @@ struct CpuFeatures {
 /// Detected features of the executing CPU. Probed once, cached; safe to
 /// call concurrently.
 const CpuFeatures& GetCpuFeatures();
-
-/// "avx2+sse2", "sse2" or "none" — for logs and bench labels.
-std::string DescribeCpuFeatures();
 
 }  // namespace vitex::common
 

@@ -1,8 +1,9 @@
 // Deterministic PRNG used by the workload generators and property tests.
 //
-// All randomized documents and queries in tests/benches are reproducible
-// from a seed; std::mt19937_64 could differ across standard libraries only
-// in distribution helpers, so we implement the distributions ourselves.
+// All randomized documents and queries in tests and benchmarks are
+// reproducible from a seed; std::mt19937_64 could differ across standard
+// libraries only in distribution helpers, so we implement the distributions
+// ourselves.
 
 #ifndef VITEX_COMMON_RANDOM_H_
 #define VITEX_COMMON_RANDOM_H_

@@ -507,7 +507,7 @@ ServiceStats Service::stats() const {
     s.docs_per_sec = static_cast<double>(s.documents_processed) /
                      s.uptime_seconds;
     s.events_per_sec =
-        static_cast<double>(s.events_replayed) / s.uptime_seconds;
+        static_cast<double>(s.events_parsed) / s.uptime_seconds;
   }
   return s;
 }
@@ -552,7 +552,7 @@ std::string Service::StatszText() const {
                "documents_processed / uptime (0 below the uptime floor)", {},
                s.docs_per_sec);
   w.WriteGauge("vitex_events_per_sec",
-               "events_replayed / uptime (0 below the uptime floor)", {},
+               "events_parsed / uptime (0 below the uptime floor)", {},
                s.events_per_sec);
 
   auto stream_label = [](size_t i) {

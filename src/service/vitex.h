@@ -110,9 +110,9 @@ struct ServiceOptions {
   /// (ingest-queue wait, parse, shard-queue wait, match+deliver, and
   /// end-to-end publish→last-shard-done) into the service's metric
   /// registry, exposed by StatszText(). Costs a few clock reads and
-  /// relaxed atomic increments per document per shard — bounded ≤3% of
-  /// BM_ServiceThroughput by the BM_MetricsOverhead bench axis. Flag off
-  /// to shed even that; counters and queue watermarks stay on regardless.
+  /// relaxed atomic increments per document per shard (the ≤3% budget of
+  /// DESIGN.md §10, argued there, not gated). Flag off to shed even that;
+  /// counters and queue watermarks stay on regardless.
   bool enable_tracing = true;
 };
 
@@ -173,7 +173,9 @@ struct ServiceStats {
   /// construction would otherwise extrapolate a handful of documents into
   /// a nonsense per-second figure.
   double docs_per_sec = 0;
-  double events_per_sec = 0;  ///< events_replayed / uptime (same floor)
+  /// events_parsed / uptime (same floor): each event counts once, however
+  /// many shards replay it, so the rate does not scale with shard_count.
+  double events_per_sec = 0;
   std::vector<ShardStatsSnapshot> shards;
   std::vector<StreamStatsSnapshot> streams;
 };

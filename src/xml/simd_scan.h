@@ -53,7 +53,7 @@ enum class ScanMode : unsigned char { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
 /// (env override, then cpuid); later calls are a relaxed atomic load.
 ScanMode ActiveScanMode();
 
-/// "scalar", "sse2" or "avx2" — for bench labels and logs.
+/// "scalar", "sse2" or "avx2" — for the benchmark host stamp and logs.
 std::string_view ScanModeName(ScanMode mode);
 
 /// Pins kernels to `mode` for testing. Returns false (and changes

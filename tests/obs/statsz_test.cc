@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -189,6 +191,27 @@ TEST(ObsStatszTest, RatesRespectMinimumUptimeFloor) {
     EXPECT_LE(stats.docs_per_sec,
               1.0 / Service::kMinRateUptimeSeconds);
   }
+}
+
+// events_per_sec counts each parsed event once: with 2 shards every event
+// is replayed twice, and a rate built on replays would read 2x here.
+TEST(ObsStatszTest, EventRateCountsParsedEventsNotReplays) {
+  ServiceOptions options;
+  options.shard_count = 2;
+  Service service(options);
+  auto sub = service.Subscribe("//item0/val/text()");
+  ASSERT_TRUE(sub.ok());
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(service.Publish(FeedDoc(8)).ok());
+  ASSERT_TRUE(service.Flush().ok());
+  std::this_thread::sleep_for(std::chrono::duration<double>(
+      1.5 * Service::kMinRateUptimeSeconds));
+  ServiceStats stats = service.stats();
+  ASSERT_EQ(stats.documents_processed, 4u);
+  ASSERT_EQ(stats.events_replayed, 2 * stats.events_parsed);
+  ASSERT_GT(stats.docs_per_sec, 0.0);
+  EXPECT_DOUBLE_EQ(stats.events_per_sec / stats.docs_per_sec,
+                   static_cast<double>(stats.events_parsed) /
+                       static_cast<double>(stats.documents_processed));
 }
 
 }  // namespace

@@ -8,7 +8,6 @@ current state. Run directly or via ctest (LintInvariantsSelfTest).
 """
 
 import importlib.util
-import json
 import sys
 import tempfile
 import unittest
@@ -150,32 +149,6 @@ class IostreamHeaderTest(FixtureTest):
     def test_ostream_is_not_confused_with_iostream(self):
         self.write("src/common/log.h", "#include <ostream>\n")
         self.assertEqual(self.rules_fired(), [])
-
-
-class BenchBaselineTest(FixtureTest):
-    def _baseline(self, build_type):
-        return json.dumps(
-            {"context": {"vitex_build_type": build_type}, "benchmarks": []}
-        )
-
-    def test_release_baseline_is_clean(self):
-        self.write("bench/baseline/BENCH_sax.json", self._baseline("Release"))
-        self.assertEqual(self.rules_fired(), [])
-
-    def test_debug_baseline_is_flagged(self):
-        self.write("bench/baseline/BENCH_sax.json", self._baseline("Debug"))
-        self.assertIn("bench-baseline-release", self.rules_fired())
-
-    def test_missing_stamp_is_flagged(self):
-        self.write(
-            "bench/baseline/BENCH_sax.json",
-            json.dumps({"context": {}, "benchmarks": []}),
-        )
-        self.assertIn("bench-baseline-release", self.rules_fired())
-
-    def test_unparseable_baseline_is_flagged(self):
-        self.write("bench/baseline/BENCH_sax.json", "{not json")
-        self.assertIn("bench-baseline-release", self.rules_fired())
 
 
 class ResetOkTest(FixtureTest):

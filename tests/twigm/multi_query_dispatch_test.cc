@@ -143,8 +143,8 @@ TEST(MultiQueryDispatchTest, MixedQueriesMatchSingleEngineRunsChunked) {
 
 TEST(MultiQueryDispatchTest, PerEventWorkSublinearInRegisteredQueries) {
   // Disjoint-tag standing queries: as registrations grow 1 -> 64, the
-  // per-event machine visits must stay flat (the acceptance shape for
-  // bench_multi_query's sublinear scaling).
+  // per-event machine visits must stay flat (dispatch work follows the
+  // machines a tag concerns, not the number registered).
   workload::XmarkOptions options;
   options.items_per_region = 5;
   auto doc = workload::GenerateXmarkString(options);

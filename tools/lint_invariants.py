@@ -17,9 +17,6 @@ clean and passes every test on the machine that broke it:
                       waiver naming why the relaxed ordering is sound.
   iostream-free-headers  src/ headers must not include <iostream>: it
                       injects a static initializer into every includer.
-  bench-baseline-release  checked-in bench baselines must be stamped
-                      vitex_build_type=Release; comparing a Release run
-                      against a Debug baseline silently passes any gate.
   reset-ok            generation-stamped pools in src/twigm/ (slots_,
                       free_list_, recordings_, per-node stacks —
                       DESIGN.md §12) must never be .clear()ed: document
@@ -34,7 +31,6 @@ one `rule: path: message` line per violation. tests/tools/ has fixtures.
 """
 
 import argparse
-import json
 import re
 import sys
 from pathlib import Path
@@ -223,33 +219,6 @@ def check_iostream_free_headers(root):
     return violations
 
 
-def check_bench_baseline_release(root):
-    """Checked-in bench baselines were recorded from a Release build."""
-    violations = []
-    baseline_dir = root / "bench" / "baseline"
-    if not baseline_dir.is_dir():
-        return violations
-    for path in sorted(baseline_dir.glob("*.json")):
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as err:
-            violations.append(
-                ("bench-baseline-release", path, f"unparseable JSON: {err}")
-            )
-            continue
-        build_type = (data.get("context") or {}).get("vitex_build_type")
-        if build_type != "Release":
-            violations.append(
-                (
-                    "bench-baseline-release",
-                    path,
-                    f"context.vitex_build_type is {build_type!r}, "
-                    "baselines must be recorded from a Release build",
-                )
-            )
-    return violations
-
-
 RESET_WAIVER = re.compile(r"//\s*lint:\s*reset-ok\([^)\n]+\)")
 # The generation-stamped pools of DESIGN.md §12. `stack` covers the
 # MachineNode per-node entry stacks (`node.stack`), whose live prefix is
@@ -291,7 +260,6 @@ RULES = [
     check_ctest_timeout,
     check_relaxed_confinement,
     check_iostream_free_headers,
-    check_bench_baseline_release,
     check_reset_ok,
 ]
 
